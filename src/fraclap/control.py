@@ -370,18 +370,30 @@ def solve_fully_discrete(problem: ControlProblem, tol: float = 1e-5,
 
     mesh = problem.mesh
     vols = mesh.volumes
+    last = {}
 
     def fun(z):
         u = red.state(z)
         p = red.adjoint(u)
         g = red.gradient_values(z, p)
-        return red.value(z, u), vols * g
+        last.update(z=z.copy(), J=red.value(z, u), g=g)
+        return last["J"], vols * g
+
+    objective_history, residual_history = [], []
+
+    def record(xk):
+        # L-BFGS-B reports an iterate only after evaluating it, so the last
+        # evaluation is the accepted iterate's
+        objective_history.append(last["J"])
+        residual_history.append(_stationarity(last["z"], last["g"],
+                                              problem.lower, problem.upper))
 
     z_init = np.clip(z0 if z0 is not None else np.zeros(mesh.n_cells),
                      problem.lower, problem.upper)
     threshold = tol * math.sqrt(mesh.h ** mesh.dim)
     out = minimize(fun, z_init, jac=True, method="L-BFGS-B",
                    bounds=[(problem.lower, problem.upper)] * mesh.n_cells,
+                   callback=record,
                    options={"maxiter": problem.max_iterations,
                             "ftol": 1e-16, "gtol": 1e-14})
     z = np.clip(out.x, problem.lower, problem.upper)
@@ -393,7 +405,9 @@ def solve_fully_discrete(problem: ControlProblem, tol: float = 1e-5,
         return _projected_descent(problem, red, tol, z)
     return ControlSolution(control=red._wrap(z), state=u, adjoint=p,
                            objective=red.value(z, u), iterations=out.nit,
-                           residual=res, stats=red.stats, mode=problem.mode)
+                           residual=res, stats=red.stats, mode=problem.mode,
+                           objective_history=objective_history,
+                           residual_history=residual_history)
 
 
 def post_process(problem: ControlProblem,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -182,12 +183,38 @@ def _cache_path(out_dir: str | None, name: str):
     return os.path.join(cache, name)
 
 
-def _cached_vector(path, compute):
-    if path is not None and os.path.exists(path):
-        return np.loadtxt(path).reshape(-1)
-    vec = compute()
-    if path is not None:
-        np.savetxt(path, vec, fmt="%.17g")
+def _load_vector(path, n: int):
+    """Cached vector of length ``n``; None if missing, unreadable or of
+    another length (a file cut short or written for another mesh)."""
+    if path is None or not os.path.exists(path):
+        return None
+    try:
+        vec = np.loadtxt(path, ndmin=1)
+    except ValueError:
+        return None
+    return vec if vec.shape == (n,) else None
+
+
+def _save_vector(path, vec: np.ndarray):
+    """Write through a temporary file in the same directory and rename it, so
+    an interrupted run leaves the previous file or none, never a partial one."""
+    if path is None:
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            np.savetxt(fh, vec, fmt="%.17g")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _cached_vector(path, n: int, compute):
+    vec = _load_vector(path, n)
+    if vec is None:
+        vec = compute()
+        _save_vector(path, vec)
     return vec
 
 
@@ -229,7 +256,8 @@ def run_state_convergence(config: ExperimentConfig) -> dict:
                            f"state_ref_dim{config.dim}_m{m_ref}_s{s}"
                            f"_ck{config.c_k}_rtol{config.rtol}.txt")
         u_ref = _cached_vector(
-            path, lambda: _state_solution(ref_mesh, s, config).u.values)
+            path, ref_mesh.n_interior,
+            lambda: _state_solution(ref_mesh, s, config).u.values)
         errors, hs, n_omegas = [], [], []
         for m in ms:
             diff = u_ref - lift.lift(results[(s, m)], m, m_ref)
@@ -302,14 +330,14 @@ def _control_reference(config: ExperimentConfig, s: float, meshes, lift):
     start = 2 ** max(config.levels)
 
     cache_base = (f"dim{config.dim}_m{m_ref}_s{s}_mu{config.mu}"
-                  f"_a{config.lower}_b{config.upper}_ck{config.c_k}")
-    paths = {name: _cache_path(config.out_dir, f"control_ref_{name}_{cache_base}.txt")
-             for name in ("control", "state", "adjoint")}
-    if all(p is not None and os.path.exists(p) for p in paths.values()):
-        z = np.loadtxt(paths["control"]).reshape(-1)
-        u = np.loadtxt(paths["state"]).reshape(-1)
-        p = np.loadtxt(paths["adjoint"]).reshape(-1)
-        return z, u, p
+                  f"_a{config.lower}_b{config.upper}_ck{config.c_k}"
+                  f"_rtol{config.rtol}_tol{config.opt_tol}")
+    paths = [_cache_path(config.out_dir, f"control_ref_{name}_{cache_base}.txt")
+             for name in ("control", "state", "adjoint")]
+    n = meshes[m_ref].n_interior
+    cached = [_load_vector(path, n) for path in paths]
+    if all(vec is not None for vec in cached):
+        return tuple(cached)
 
     z0 = None
     m = start
@@ -326,9 +354,8 @@ def _control_reference(config: ExperimentConfig, s: float, meshes, lift):
             z0 = lift.lift(sol.control.values, m, 2 * m)
         m *= 2
     z, u, p = sol.control.values, sol.state.values, sol.adjoint.values
-    for name, vec in (("control", z), ("state", u), ("adjoint", p)):
-        if paths[name] is not None:
-            np.savetxt(paths[name], vec, fmt="%.17g")
+    for path, vec in zip(paths, (z, u, p)):
+        _save_vector(path, vec)
     return z, u, p
 
 

@@ -6,10 +6,16 @@ to one.  Systems with large shifts are well conditioned and are solved with
 a shared-Krylov multishift conjugate gradient: one Lanczos basis of A~ is
 grown lazily (the only matrix-vector products), and every shifted system is
 solved inside that basis through scalar recurrences, which is algebraically
-the classical shifted-CG iteration.  Once the basis would exceed ``n_max``
-dimensions the remaining (small-shift) systems are solved sequentially by
-preconditioned CG, rebuilding the preconditioner whenever the previous
-system needed more than ``iter_cap`` iterations.
+the classical shifted-CG iteration.  The recurrences run over the active set
+only: a shift leaves it at the step its residual bound is met, so each step
+costs one matvec plus work proportional to the shifts still unconverged.
+Their per-step coefficients are stored row-major, one row per Lanczos step,
+and the back substitution that reconstructs the solutions likewise touches
+only the shifts still live at each step.  A~ is assembled once, prescaled,
+in ``normalize``.  Once the basis would exceed ``n_max`` dimensions the
+remaining (small-shift) systems are solved sequentially by preconditioned
+CG, rebuilding the preconditioner whenever the previous system needed more
+than ``iter_cap`` iterations.
 """
 
 from __future__ import annotations
@@ -36,7 +42,13 @@ __all__ = [
 
 @dataclass(eq=False)
 class SolveStats:
-    """Bookkeeping for one family solve."""
+    """Bookkeeping for one family solve.
+
+    ``iterations`` maps a label to the Krylov dimension at which that
+    multishift system converged (the step it left the active set) or to its
+    PCG iteration count; ``n_matvec`` counts the Lanczos basis vectors plus
+    every PCG matvec.
+    """
 
     iterations: dict = field(default_factory=dict)   # label -> iteration count
     n_alg1: int = 0
@@ -52,9 +64,15 @@ class SolveStats:
 
 @dataclass(eq=False)
 class ShiftedFamily:
-    """Normalized shifted family, shifts sorted by decreasing magnitude."""
+    """Normalized shifted family, shifts sorted by decreasing magnitude.
+
+    ``A_scaled`` is the prescaled operator A~ as a CSR matrix, so that
+    ``apply_scaled`` (used by the Lanczos scan and by PCG) is one sparse
+    matvec.
+    """
 
     A: sp.csr_matrix
+    A_scaled: sp.csr_matrix       # (1/rho) M_h^{-1/2} A M_h^{-1/2}
     lumped_mass: np.ndarray
     rho: float
     shifts: np.ndarray            # original alpha_l, decreasing
@@ -75,8 +93,7 @@ class ShiftedFamily:
 
     def apply_scaled(self, x: np.ndarray) -> np.ndarray:
         """A~ x with A~ = (1/rho) M_h^{-1/2} A M_h^{-1/2}."""
-        d = self.inv_sqrt_mass
-        return d * (self.A @ (d * x)) / self.rho
+        return self.A_scaled @ x
 
     def unnormalize(self, v_scaled: np.ndarray) -> np.ndarray:
         """Map V~ back to V = M_h^{-1/2} V~ (acts on the last axis)."""
@@ -125,11 +142,12 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
     labels = np.asarray(labels)
 
     d = 1.0 / np.sqrt(lumped_mass)
-    scaled = sp.diags(d) @ A @ sp.diags(d)
+    scaled = sp.csr_matrix(sp.diags(d) @ A @ sp.diags(d))
     rho = float(np.max(np.abs(scaled).sum(axis=1)))
+    scaled.data /= rho
     order = np.argsort(-shifts, kind="stable")
     return ShiftedFamily(
-        A=A, lumped_mass=lumped_mass, rho=rho,
+        A=A, A_scaled=scaled, lumped_mass=lumped_mass, rho=rho,
         shifts=shifts[order], shifts_scaled=shifts[order] / rho,
         labels=labels[order], rhs=Z, rhs_scaled=d * Z / rho,
         inv_sqrt_mass=d)
@@ -149,7 +167,15 @@ def condition_bound(family: ShiftedFamily, label) -> float:
 
 
 class _MultishiftScan:
-    """Lanczos basis plus, per shift, the first converging Krylov dimension."""
+    """Lanczos basis plus, per shift, the first converging Krylov dimension.
+
+    Only the shifts that have not yet converged are carried through the
+    recurrences: their indices sit in an array that shrinks as shifts
+    converge.  Row j of the ``(n_max, S)`` arrays ``D`` and ``C`` holds the
+    pivots and the scaled residual coefficients of step j for the shifts
+    that were active at that step; entries of shifts that had already
+    converged stay zero and are never read.
+    """
 
     def __init__(self, family: ShiftedFamily, n_max: int, rtol: float):
         sig = family.shifts_scaled
@@ -163,8 +189,8 @@ class _MultishiftScan:
         self.m_conv = np.zeros(S, dtype=np.int64)   # 0 means not converged
         self.a = np.zeros(n_max)
         self.b = np.zeros(n_max)
-        self.D = np.zeros((S, n_max))
-        self.C = np.zeros((S, n_max))
+        self.D = np.zeros((n_max, S))
+        self.C = np.zeros((n_max, S))
         self.Q = None
         if beta0 == 0.0:
             self.m_conv[:] = 1          # zero rhs: zero solutions, no work
@@ -174,55 +200,54 @@ class _MultishiftScan:
 
         tol_abs = rtol * beta0
         Q = np.empty((n_max, n))
-        q_prev = np.zeros(n)
-        q = z / beta0
-        d_prev = np.zeros(S)
-        c_prev = np.zeros(S)
-        active = np.ones(S, dtype=bool)
+        np.divide(z, beta0, out=Q[0])
+        act = np.arange(S)              # unconverged shifts
+        sig_act = sig
         j = 0
-        while j < n_max and active.any():
-            Q[j] = q
+        while j < n_max and act.size:
+            q = Q[j]
             w = family.apply_scaled(q)
             if j > 0:
-                w -= self.b[j - 1] * q_prev
+                w -= self.b[j - 1] * Q[j - 1]
             aj = float(q @ w)
             w -= aj * q
             bj = float(np.linalg.norm(w))
             self.a[j] = aj
             self.b[j] = bj
             if j == 0:
-                d = aj + sig
+                d = aj + sig_act
                 c = np.full(S, beta0)
             else:
-                ratio = self.b[j - 1] / d_prev
-                d = np.where(active, aj + sig - self.b[j - 1] * ratio, 1.0)
-                c = np.where(active, -ratio * c_prev, 0.0)
-            if np.any(d[active] <= 0.0):
+                ratio = self.b[j - 1] / d
+                d = aj + sig_act - self.b[j - 1] * ratio
+                c = -ratio * c
+            if np.any(d <= 0.0):
                 raise RuntimeError(
                     "shifted CG breakdown: operator is not positive definite")
-            self.D[:, j] = np.where(active, d, self.D[:, j])
-            self.C[:, j] = np.where(active, c, self.C[:, j])
-            res = np.abs(c) / d * bj
-            hit = active & (res <= tol_abs)
-            self.m_conv[hit] = j + 1
-            active &= ~hit
-            d_prev, c_prev = d, c
+            self.D[j, act] = d
+            self.C[j, act] = c
+            hit = np.abs(c) / d * bj <= tol_abs
             j += 1
-            if active.any():
+            if hit.any():
+                self.m_conv[act[hit]] = j
+                keep = ~hit
+                act, sig_act, d, c = act[keep], sig_act[keep], d[keep], c[keep]
+            if act.size:
                 if bj < 1e-300:
                     # invariant subspace: every remaining residual is zero
-                    self.m_conv[active] = j
-                    active[:] = False
-                else:
-                    q_prev, q = q, w / bj
+                    self.m_conv[act] = j
+                    break
+                if j < n_max:
+                    np.divide(w, bj, out=Q[j])
         self.n_basis = j
         self.Q = Q[:j]
 
     def reconstruct(self, indices: np.ndarray, weights=None):
         """Galerkin solutions for the given shift indices (scaled space).
 
-        With ``weights`` the weighted sum over those shifts is returned
-        instead of the individual solutions.
+        Rows come back in the order of ``indices``.  With ``weights`` the
+        weighted sum over those shifts is returned instead of the individual
+        solutions.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if self.trivial or indices.size == 0:
@@ -232,29 +257,31 @@ class _MultishiftScan:
         m_arr = self.m_conv[indices]
         if np.any(m_arr <= 0):
             raise ValueError("reconstruction requested for unsolved shifts")
-        m_max = int(m_arr.max())
-        k = indices.size
-        y = np.zeros(k)
-        bsub = self.b
-        D = self.D[indices]
-        C = self.C[indices]
-        store = None if weights is None else np.zeros(m_max)
-        Y = None if weights is not None else np.zeros((k, m_max))
+        # latest-converging first: the shifts still live at backward step j
+        # (those with m > j) are then a prefix of length live[j]
+        perm = np.argsort(-m_arr, kind="stable")
+        ix = indices[perm]
+        m_sorted = m_arr[perm]
+        m_max = int(m_sorted[0])
+        live = np.searchsorted(-m_sorted, -np.arange(m_max), side="left")
+        # a shift entering the prefix has y = 0, so its first step is C / D
+        y = np.zeros(indices.size)
+        if weights is not None:
+            w_sorted = np.asarray(weights, dtype=float)[perm]
+            store = np.zeros(m_max)
+        else:
+            Yt = np.zeros((m_max, indices.size))
         for j in range(m_max - 1, -1, -1):
-            last = m_arr - 1 == j
-            inside = m_arr - 1 > j
-            if last.any():
-                y[last] = C[last, j] / D[last, j]
-            if inside.any():
-                y[inside] = (C[inside, j] - bsub[j] * y[inside]) / D[inside, j]
-            live = last | inside
+            L = live[j]
+            cols = ix[:L]
+            y[:L] = (self.C[j, cols] - self.b[j] * y[:L]) / self.D[j, cols]
             if weights is not None:
-                store[j] = np.sum(np.where(live, weights * y, 0.0))
+                store[j] = w_sorted[:L] @ y[:L]
             else:
-                Y[live, j] = y[live]
+                Yt[j, perm[:L]] = y[:L]
         if weights is not None:
             return store @ self.Q[:m_max]
-        return Y @ self.Q[:m_max]
+        return Yt.T @ self.Q[:m_max]
 
 
 def _multishift_stats(family: ShiftedFamily, scan: _MultishiftScan):

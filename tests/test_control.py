@@ -221,6 +221,16 @@ class TestFullyDiscreteSolve:
         b = solve_fully_discrete(prob, tol=1e-7, method="lbfgsb")
         assert np.abs(a.control.values - b.control.values).max() <= 1e-5
 
+    def test_lbfgsb_records_histories(self):
+        mesh = unit_square_mesh(8)
+        prob = make_problem(mesh, FULLY_DISCRETE, s=0.25)
+        sol = solve_fully_discrete(prob, tol=1e-6, method="lbfgsb")
+        # one entry per L-BFGS-B iterate (the fallback would record more)
+        assert len(sol.objective_history) == sol.iterations > 0
+        assert len(sol.residual_history) == sol.iterations
+        hist = sol.objective_history
+        assert all(b <= a + 1e-14 for a, b in zip(hist, hist[1:]))
+
     def test_objective_monotone_over_accepted_steps(self):
         mesh = unit_square_mesh(8)
         prob = make_problem(mesh, FULLY_DISCRETE, s=0.05)

@@ -11,8 +11,10 @@ from fraclap import (NodalFunction, hat_rhs, hs_error_surrogate, interpolate,
                      unit_square_mesh)
 from fraclap.cli import main, read_config_file
 from fraclap.fem import operators
+import fraclap.harness
 from fraclap.harness import (ExperimentConfig, RateTable, compute_rates,
-                             run_solver_stats, run_state_convergence)
+                             run_control_convergence, run_solver_stats,
+                             run_state_convergence)
 from fraclap.mesh import eval_p1, refine_uniform
 
 
@@ -139,6 +141,51 @@ class TestStateConvergence:
         res = fractional_solve(mesh, 0.5, hat_rhs(mesh), SolveOptions())
         diff = res.u.values - res.u.values
         assert np.linalg.norm(diff) == 0.0
+
+
+class TestReferenceCache:
+    def test_changed_tolerance_misses_control_cache(self, tmp_path,
+                                                    monkeypatch):
+        ref_solves = []
+        solve = fraclap.harness.solve_variational
+
+        def counting(problem, *args, **kwargs):
+            if problem.mesh.cells_per_side == 16:
+                ref_solves.append(problem)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(fraclap.harness, "solve_variational", counting)
+
+        def reference_solves(**overrides):
+            ref_solves.clear()
+            run_control_convergence(ExperimentConfig(
+                s_values=(0.5,), levels=(2, 3), ref_level=4,
+                out_dir=str(tmp_path), **overrides))
+            return len(ref_solves)
+
+        assert reference_solves() == 1
+        assert reference_solves() == 0          # cache hit
+        assert reference_solves(opt_tol=1e-6) == 1
+        assert reference_solves(rtol=1e-9) == 1
+        # a cut-short cache file is recomputed, not returned
+        (path,) = (tmp_path / "cache").glob(
+            "control_ref_state_*_rtol1e-08_tol1e-05.txt")
+        path.write_text("".join(path.read_text().splitlines(True)[:10]))
+        assert reference_solves() == 1
+        assert reference_solves() == 0
+
+    def test_truncated_state_reference_is_recomputed(self, tmp_path):
+        cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3), ref_level=4,
+                               out_dir=str(tmp_path))
+        run_state_convergence(cfg)
+        csv = (tmp_path / "state_conv_s0.5.csv").read_text()
+        (path,) = (tmp_path / "cache").glob("state_ref_*.txt")
+        lines = path.read_text().splitlines(True)
+        path.write_text("".join(lines[:len(lines) // 2]))
+        run_state_convergence(cfg)
+        assert (tmp_path / "state_conv_s0.5.csv").read_text() == csv
+        assert path.read_text().splitlines(True) == lines
+        assert not list((tmp_path / "cache").glob("*.tmp"))
 
 
 class TestSolverStats:

@@ -9,7 +9,7 @@ from fraclap import (condition_bound, normalize, solve_family,
 from fraclap.fem import operators
 from fraclap.fractional import sinc_quadrature
 from fraclap.harness import hat_rhs
-from fraclap.shifted import solve_preconditioned
+from fraclap.shifted import _MultishiftScan, solve_preconditioned
 
 
 def plain_cg(A_apply, b, rtol, maxiter=10000):
@@ -165,6 +165,112 @@ class TestMultishift:
                                    np.zeros(mesh.n_interior))
         np.testing.assert_array_equal(sols, 0.0)
         assert stats.n_matvec == 0
+
+
+def full_width_scan(family, n_max, rtol):
+    """Reference multishift scan: every shift runs through every Lanczos
+    step, and each converged shift is back-substituted on its own."""
+    sig = family.shifts_scaled
+    z = family.rhs_scaled
+    beta0 = np.linalg.norm(z)
+    D = np.zeros((sig.size, n_max))
+    C = np.zeros((sig.size, n_max))
+    m_conv = np.zeros(sig.size, dtype=np.int64)
+    basis, b = [], []
+    q_prev, q = np.zeros_like(z), z / beta0
+    for j in range(n_max):
+        basis.append(q)
+        w = family.apply_scaled(q)
+        if j > 0:
+            w = w - b[j - 1] * q_prev
+        aj = q @ w
+        w = w - aj * q
+        bj = np.linalg.norm(w)
+        if j == 0:
+            d, c = aj + sig, np.full(sig.size, beta0)
+        else:
+            ratio = b[j - 1] / d
+            d, c = aj + sig - b[j - 1] * ratio, -ratio * c
+        b.append(bj)
+        D[:, j], C[:, j] = d, c
+        hit = (m_conv == 0) & (np.abs(c) / d * bj <= rtol * beta0)
+        m_conv[hit] = j + 1
+        if (m_conv > 0).all():
+            break
+        q_prev, q = q, w / bj
+    sols = np.zeros((sig.size, z.size))
+    for i in np.flatnonzero(m_conv):
+        m = m_conv[i]
+        y = np.zeros(m + 1)
+        for j in range(m - 1, -1, -1):
+            y[j] = (C[i, j] - b[j] * y[j + 1]) / D[i, j]
+        sols[i] = y[:m] @ np.array(basis[:m])
+    return m_conv, len(basis), sols
+
+
+class TestActiveSetScan:
+    def _family(self, s, k=0.4):
+        mesh = unit_square_mesh(16)
+        ops = operators(mesh)
+        quad = sinc_quadrature(s, k)
+        return normalize(ops.stiffness, ops.lumped_mass, quad.shifts,
+                         assemble_rhs(mesh), labels=quad.l), quad
+
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+    def test_matches_full_width_recurrences(self, s):
+        fam, _ = self._family(s)
+        n_max, rtol = 30, 1e-9
+        scan = _MultishiftScan(fam, n_max, rtol)
+        m_ref, n_ref, sols_ref = full_width_scan(fam, n_max, rtol)
+        np.testing.assert_array_equal(scan.m_conv, m_ref)
+        assert scan.n_basis == n_ref
+        solved = np.flatnonzero(m_ref)
+        # some shifts converge early and some never within n_max
+        assert 0 < solved.size < fam.n_shifts
+        sols = scan.reconstruct(solved)
+        scale = np.linalg.norm(sols_ref[solved], axis=1, keepdims=True)
+        assert (np.abs(sols - sols_ref[solved]) <= 1e-12 * scale).all()
+
+    def test_reconstruct_keeps_requested_order(self):
+        fam, _ = self._family(0.05)
+        scan = _MultishiftScan(fam, 60, 1e-9)
+        solved = np.flatnonzero(scan.m_conv)
+        perm = np.random.default_rng(3).permutation(solved)
+        rows = scan.reconstruct(solved)[np.searchsorted(solved, perm)]
+        np.testing.assert_allclose(scan.reconstruct(perm), rows,
+                                   rtol=1e-13, atol=0.0)
+
+    def test_weighted_equals_weighted_rows(self):
+        fam, quad = self._family(0.05)
+        scan = _MultishiftScan(fam, 60, 1e-9)
+        solved = np.flatnonzero(scan.m_conv)
+        idx = np.random.default_rng(4).permutation(solved)
+        w = quad.weights[::-1][idx]         # family order is decreasing shift
+        combined = scan.reconstruct(idx, weights=w)
+        expected = w @ scan.reconstruct(idx)
+        assert np.linalg.norm(combined - expected) <= \
+            1e-13 * np.linalg.norm(expected)
+
+    def test_eigenvector_rhs_stops_after_one_vector(self):
+        a = np.array([1.0, 2.0, 5.0, 3.0])
+        mass = np.array([0.5, 1.0, 2.0, 0.25])
+        Z = np.zeros(4)
+        Z[2] = 1.0            # an eigenvector of the scaled operator
+        shifts = np.array([0.01, 1.0, 100.0])
+        sols, stats = solve_family(sp.diags(a).tocsr(), mass, shifts, Z,
+                                   rtol=0.0)
+        assert stats.n_matvec == 1
+        assert stats.n_alg2 == 0
+        np.testing.assert_allclose(
+            sols, Z[None, :] / (a[None, :] + shifts[:, None] * mass),
+            rtol=1e-14, atol=0.0)
+
+    def test_breakdown_after_some_shifts_converged(self):
+        # the huge shift converges at the first step; the small one then
+        # meets the negative eigenvalue
+        A = sp.diags(np.array([1.0, -2.0, 3.0])).tocsr()
+        with pytest.raises(RuntimeError, match="breakdown"):
+            solve_family(A, np.ones(3), np.array([1e12, 0.1]), np.ones(3))
 
 
 class TestSequentialPCG:
