@@ -62,7 +62,6 @@ _COMMON = {
     "post_process": (bool, False),
     "out": (str, None),
     "threads": (int, 1),
-    "seed": (int, 0),
     "config": (str, None),
     "level": (int, 4),
 }
@@ -114,8 +113,7 @@ def _experiment_config(vals: dict, kind: str) -> harness.ExperimentConfig:
         kind=kind, dim=vals["dim"], s_values=vals["s"],
         levels=vals["levels"], ref_level=vals["ref_level"], mu=vals["mu"],
         lower=vals["a"], upper=vals["b"], c_k=vals["ck"], rtol=vals["rtol"],
-        opt_tol=vals["tol"], with_post_process=vals["post_process"],
-        out_dir=vals["out"], threads=vals["threads"], seed=vals["seed"])
+        opt_tol=vals["tol"], out_dir=vals["out"], threads=vals["threads"])
 
 
 def _cmd_state_conv(vals: dict) -> int:
@@ -204,14 +202,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {
         "state-conv": ["dim", "s", "levels", "ref_level", "ck", "rtol",
-                       "out", "threads", "seed", "config"],
+                       "out", "threads", "config"],
+        # the control study always reports the post-processed control and
+        # runs its solves in sequence
         "control-conv": ["dim", "s", "levels", "ref_level", "mu", "a", "b",
-                         "ck", "rtol", "tol", "post_process", "out",
-                         "threads", "seed", "config"],
+                         "ck", "rtol", "tol", "out", "config"],
         "solver-stats": ["dim", "s", "levels", "ck", "rtol", "out",
-                         "threads", "seed", "config"],
+                         "threads", "config"],
         "solve": ["dim", "s", "level", "mu", "a", "b", "ck", "rtol", "tol",
-                  "mode", "post_process", "out", "seed", "config"],
+                  "mode", "post_process", "out", "config"],
     }
     runners = {
         "state-conv": _cmd_state_conv,

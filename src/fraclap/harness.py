@@ -51,10 +51,8 @@ class ExperimentConfig:
     c_k: float = 1.1
     rtol: float = 1e-8
     opt_tol: float = 1e-5
-    with_post_process: bool = True
     out_dir: str | None = None
     threads: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.levels and self.ref_level <= max(self.levels):

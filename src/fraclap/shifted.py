@@ -11,16 +11,21 @@ only: a shift leaves it at the step its residual bound is met, so each step
 costs one matvec plus work proportional to the shifts still unconverged.
 Their per-step coefficients are stored row-major, one row per Lanczos step,
 and the back substitution that reconstructs the solutions likewise touches
-only the shifts still live at each step.  A~ is assembled once, prescaled,
-in ``normalize``.  Once the basis would exceed ``n_max`` dimensions the
-remaining (small-shift) systems are solved sequentially by preconditioned
-CG, rebuilding the preconditioner whenever the previous system needed more
-than ``iter_cap`` iterations.
+only the shifts still live at each step.  ``normalize`` assembles A~
+prescaled, once per stiffness / lumped-mass pair, and reuses it for every
+later family on the same operator.  Once the basis would exceed ``n_max``
+dimensions the remaining (small-shift) systems are solved sequentially by
+preconditioned CG, rebuilding the preconditioner whenever the previous
+system needed more than ``iter_cap`` iterations.  Each system starts from
+its neighbor's solution, and since all systems share the right-hand side
+its initial residual follows from the neighbor's final residual without a
+matvec.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,23 +133,43 @@ class ShiftedFamily:
         return self._kappa
 
 
+# scaled operator per (stiffness, lumped mass) pair of objects, which are
+# treated as immutable: the repeated solves on one mesh scale it once.  An
+# entry is dropped when its stiffness matrix is garbage collected.
+_scaled_cache: dict = {}
+
+
+def _scale_operator(A: sp.csr_matrix, lumped_mass: np.ndarray):
+    """``(A~, rho, d)``: A~ = (1/rho) diag(d) A diag(d) as CSR, d = M_h^{-1/2},
+    and rho the sup-norm of diag(d) A diag(d)."""
+    d = 1.0 / np.sqrt(lumped_mass)
+    scaled = sp.csr_matrix(sp.diags(d) @ A @ sp.diags(d))
+    rho = float(np.max(np.abs(scaled).sum(axis=1)))
+    scaled.data /= rho
+    return scaled, rho, d
+
+
 def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
               Z: np.ndarray, labels=None) -> ShiftedFamily:
     """Scale the family to identity shifts with unit operator sup-norm."""
-    lumped_mass = np.asarray(lumped_mass, dtype=float)
-    if np.any(lumped_mass <= 0):
-        raise ValueError("lumped mass must be strictly positive")
-    A = sp.csr_matrix(A)
+    key = (id(A), id(lumped_mass))
+    entry = _scaled_cache.get(key)
+    if entry is None:
+        mass = np.asarray(lumped_mass, dtype=float)
+        if np.any(mass <= 0):
+            raise ValueError("lumped mass must be strictly positive")
+        A_csr = sp.csr_matrix(A)
+        # the entry holds lumped_mass, so its id cannot be reused meanwhile
+        entry = (lumped_mass, A_csr, mass) + _scale_operator(A_csr, mass)
+        _scaled_cache[key] = entry
+        weakref.finalize(A, _scaled_cache.pop, key, None)
+    _, A, lumped_mass, scaled, rho, d = entry
     shifts = np.asarray(shifts, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if labels is None:
         labels = np.arange(shifts.size)
     labels = np.asarray(labels)
 
-    d = 1.0 / np.sqrt(lumped_mass)
-    scaled = sp.csr_matrix(sp.diags(d) @ A @ sp.diags(d))
-    rho = float(np.max(np.abs(scaled).sum(axis=1)))
-    scaled.data /= rho
     order = np.argsort(-shifts, kind="stable")
     return ShiftedFamily(
         A=A, A_scaled=scaled, lumped_mass=lumped_mass, rho=rho,
@@ -310,33 +335,36 @@ def solve_well_conditioned(family: ShiftedFamily, n_max: int, rtol: float):
     return solutions, stats.crossover, stats
 
 
-def _pcg(op, b, x0, prec, rtol, maxiter):
-    """Preconditioned CG; returns (x, iterations, converged, matvecs)."""
-    x = x0.copy()
-    r = b - op(x)
-    matvecs = 1
+def _pcg(op, b, x0, r0, prec, rtol, maxiter):
+    """Preconditioned CG from ``x0``, whose residual ``b - op(x0)`` is ``r0``.
+
+    Returns ``(x, r, iterations, converged)`` with ``r`` the recursively
+    updated residual of ``x``; each iteration is one product with ``op``.  A
+    start that already meets the tolerance is returned as is.
+    """
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
-        return np.zeros_like(b), 0, True, matvecs
+        return np.zeros_like(b), np.zeros_like(b), 0, True
     tol = rtol * norm_b
+    r = r0
     if np.linalg.norm(r) <= tol:
-        return x, 0, True, matvecs
+        return x0, r, 0, True
+    x = x0.copy()
     z = prec(r)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, maxiter + 1):
         Ap = op(p)
-        matvecs += 1
         alpha = rz / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
         if np.linalg.norm(r) <= tol:
-            return x, it, True, matvecs
+            return x, r, it, True
         z = prec(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, maxiter, False, matvecs
+    return x, r, maxiter, False
 
 
 def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
@@ -347,8 +375,13 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
     A preconditioner is (re)built for the current shift whenever the
     previous solve took more than ``iter_cap`` iterations; the initial guess
     of each system is the solution of its better-conditioned neighbor (or a
-    caller-provided warm start).  Returns ``(solutions or weighted sum,
-    stats)`` in scaled space.
+    caller-provided warm start).  All systems share the right-hand side, so
+    the residual is carried across shifts: the previous system's final
+    residual ``r`` gives the next one's initial residual as
+    ``r - (sigma - sigma_prev) x``, and a system whose warm start already
+    meets the tolerance costs no matvec.  Only the first system, and the
+    retry after a fresh preconditioner, compute ``b - op(x)``.  Returns
+    ``(solutions or weighted sum, stats)`` in scaled space.
     """
     S = family.n_shifts
     count = S - start
@@ -375,7 +408,9 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
     b = family.rhs_scaled
     out = np.zeros(family.n) if weights is not None else \
         np.zeros((count, family.n))
-    prev = x_start if x_start is not None else np.zeros(family.n)
+    x = x_start if x_start is not None else np.zeros(family.n)
+    r = None                # residual of x for the previous shift
+    sigma_prev = 0.0
     prec = None
     prev_iters = iter_cap + 1
     maxiter = max(10 * iter_cap, 50)
@@ -383,22 +418,28 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
         sigma = family.shifts_scaled[pos]
         label = family.labels[pos]
 
-        def op(x, sigma=sigma):
-            return family.apply_scaled(x) + sigma * x
+        def op(v, sigma=sigma):
+            return family.apply_scaled(v) + sigma * v
 
+        if r is None:
+            r = b - op(x)
+            stats.n_matvec += 1
+        else:
+            r = r - (sigma - sigma_prev) * x
         freshly_built = False
         if prev_iters > iter_cap:
             prec = wrap(prec_factory(family.shifts[pos]))
             stats.n_prec_setups += 1
             freshly_built = True
-        x, iters, converged, mv = _pcg(op, b, prev, prec, rtol, maxiter)
-        stats.n_matvec += mv
+        x, r, iters, converged = _pcg(op, b, x, r, prec, rtol, maxiter)
+        stats.n_matvec += iters
         if not converged:
             if not freshly_built:
                 prec = wrap(prec_factory(family.shifts[pos]))
                 stats.n_prec_setups += 1
-                x, extra, converged, mv = _pcg(op, b, x, prec, rtol, maxiter)
-                stats.n_matvec += mv
+                x, r, extra, converged = _pcg(op, b, x, b - op(x), prec,
+                                              rtol, maxiter)
+                stats.n_matvec += 1 + extra
                 iters += extra
             if not converged:
                 raise RuntimeError(
@@ -407,7 +448,7 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
                     f"iterations after a fresh preconditioner")
         stats.iterations[label] = iters
         prev_iters = iters
-        prev = x
+        sigma_prev = sigma
         if weights is not None:
             out += weights[pos] * x
         else:

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from fraclap import (NodalFunction, interpolate, l2_norm, quadrature_for_mesh,
                      sinc_quadrature, solve_all_shifted,
                      spectral_oracle_solve, unit_cube_mesh, unit_square_mesh)
+from fraclap import shifted
 from fraclap.fem import operators
 from fraclap.fractional import SolveOptions, fractional_solve
 
@@ -144,6 +145,22 @@ class TestFractionalSolve:
             b = uj @ (ops.mass @ ei)
             scale = max(abs(a), abs(b)) if scale is None else scale
             assert abs(a - b) <= 1e-8 * max(scale, abs(a), abs(b))
+
+    def test_scaled_operator_built_once_per_mesh(self, monkeypatch):
+        calls = []
+        build = shifted._scale_operator
+
+        def counting(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(shifted, "_scale_operator", counting)
+        mesh = unit_square_mesh(16)
+        rhs = interpolate(mesh, eigen_rhs)
+        u1 = fractional_solve(mesh, 0.5, rhs).u.values
+        u2 = fractional_solve(mesh, 0.5, rhs).u.values
+        assert len(calls) == 1
+        np.testing.assert_array_equal(u1, u2)
 
     def test_3d_smoke(self):
         mesh = unit_cube_mesh(4)

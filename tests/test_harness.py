@@ -266,6 +266,17 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["control-conv", "--threads", "2"],
+        ["control-conv", "--post-process"],
+        ["state-conv", "--seed", "1"],
+    ])
+    def test_rejects_flags_nothing_reads(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--s", "0.5", "--levels", "2", "--ref-level", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_solver_stats_subcommand(self, capsys):
         code = main(["solver-stats", "--s", "0.5", "--levels", "2,3"])
         assert code == 0

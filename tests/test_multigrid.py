@@ -56,6 +56,14 @@ class TestGeometricMultigrid:
         rel = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
         assert rel < 0.1
 
+    def test_apply_is_one_vcycle(self):
+        rng = np.random.default_rng(4)
+        mesh, prec = self._prec(m=128, alpha=3.0)
+        assert prec.hierarchy.n_levels > 2
+        r = rng.standard_normal(mesh.n_interior)
+        top = prec.hierarchy.n_levels - 1
+        np.testing.assert_array_equal(prec.apply(r), prec._vcycle(top, r))
+
     def test_three_dimensional_cycle(self):
         rng = np.random.default_rng(2)
         mesh, prec = self._prec(m=8, alpha=2.0, dim=3)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from fraclap import (condition_bound, normalize, solve_family,
                      solve_well_conditioned, unit_square_mesh)
 from fraclap.fem import operators
-from fraclap.fractional import sinc_quadrature
+from fraclap.fractional import quadrature_for_mesh, sinc_quadrature
 from fraclap.harness import hat_rhs
 from fraclap.shifted import _MultishiftScan, solve_preconditioned
 
@@ -328,6 +328,78 @@ class TestSequentialPCG:
         for v, alpha in zip(sols, quad.shifts):
             r = ops.stiffness @ v + alpha * (ops.lumped_mass * v) - Z
             assert np.linalg.norm(r) <= 1e-8 * norm_z
+
+
+class TestCarriedResidual:
+    """The PCG tail derives each initial residual from its neighbor's."""
+
+    START, RTOL = 60, 1e-8
+
+    def _family(self):
+        mesh = unit_square_mesh(32)
+        ops = operators(mesh)
+        quad = quadrature_for_mesh(0.95, mesh.h)
+        fam = normalize(ops.stiffness, ops.lumped_mass, quad.shifts,
+                        assemble_rhs(mesh), labels=quad.l)
+        return fam, quad.weights[::-1]      # family order: decreasing shift
+
+    def test_true_residual_of_every_row(self):
+        fam, _ = self._family()
+        sols, stats = solve_preconditioned(fam, self.START, 20, self.RTOL)
+        iters = np.array([stats.iterations[l]
+                          for l in fam.labels[self.START:]])
+        # the tail mixes iterating systems with systems whose warm start
+        # already meets the tolerance
+        assert (iters == 0).sum() > 100 and (iters > 0).sum() > 10
+        b = fam.rhs_scaled
+        for x, sigma in zip(sols, fam.shifts_scaled[self.START:]):
+            r = b - fam.apply_scaled(x) - sigma * x
+            assert np.linalg.norm(r) <= self.RTOL * np.linalg.norm(b)
+
+    def test_only_the_first_system_pays_a_residual_matvec(self):
+        fam, _ = self._family()
+        _, stats = solve_preconditioned(fam, self.START, 20, self.RTOL)
+        # no rebuild retry: every system converged within maxiter
+        assert max(stats.iterations.values()) < 200
+        assert stats.n_matvec == 1 + sum(stats.iterations.values())
+
+    def test_retry_after_fresh_preconditioner_recomputes_residual(self):
+        n = 400
+        A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1]).tocsr() * n * n
+        mass = np.full(n, 1.0 / n)
+
+        class Exact:
+            def __init__(self, alpha):
+                self.inv = np.linalg.inv(
+                    (A + alpha * sp.diags(mass)).toarray())
+
+            def apply(self, v):
+                return self.inv @ v
+
+        Z = np.random.default_rng(5).standard_normal(n)
+        fam = normalize(A, mass, np.array([1e8, 1e-3]), Z)
+        # the exact inverse at the huge shift is a poor preconditioner at
+        # the small one: the second system exhausts maxiter = 50, is
+        # retried with a fresh preconditioner from its true residual
+        sols, stats = solve_preconditioned(fam, 0, 5, 1e-10,
+                                           prec_factory=Exact)
+        assert stats.n_prec_setups == 2
+        assert stats.iterations[1] > 50
+        assert stats.n_matvec == 2 + sum(stats.iterations.values())
+        b = fam.rhs_scaled
+        for x, sigma in zip(sols, fam.shifts_scaled):
+            r = b - fam.apply_scaled(x) - sigma * x
+            assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
+
+    def test_weighted_equals_weighted_rows(self):
+        fam, w = self._family()
+        rows, _ = solve_preconditioned(fam, self.START, 20, self.RTOL)
+        combined, _ = solve_preconditioned(fam, self.START, 20, self.RTOL,
+                                           weights=w)
+        expected = w[self.START:] @ rows
+        assert np.linalg.norm(combined - expected) <= \
+            1e-13 * np.linalg.norm(expected)
 
 
 def assemble_rhs(mesh):
