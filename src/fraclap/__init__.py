@@ -25,8 +25,7 @@ from .mesh import (Mesh, cell_parents, eval_p1, prolongation_matrix,
                    read_mesh, refine_uniform, unit_cube_mesh,
                    unit_square_mesh, write_mesh)
 from .multigrid import GeometricMultigrid, IncompleteCholesky, MeshHierarchy
-from .shifted import (ShiftedFamily, SolveStats, condition_bound, normalize,
-                      solve_family, solve_preconditioned,
-                      solve_well_conditioned)
+from .shifted import (ShiftedFamily, SolveStats, normalize, solve_family,
+                      solve_preconditioned)
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Subcommands: ``state-conv``, ``control-conv``, ``solver-stats`` run the
 experiment suites; ``solve`` performs a single solve and dumps the solution.
 Every flag can also be supplied through a plain ``key = value`` config file
-(flag names with dashes replaced by underscores); explicit flags win.
+(flag names with dashes replaced by underscores); explicit flags win, and a
+key the command does not take as a flag, or ``config`` itself, is an error.
 """
 
 from __future__ import annotations
@@ -88,10 +89,16 @@ def _add_flags(parser: argparse.ArgumentParser, names):
             parser.add_argument(flag, type=str, default=None, dest=name)
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
+def _resolve(args: argparse.Namespace, command: str, names) -> dict:
     file_vals = {}
     if args.config:
         file_vals = read_config_file(args.config)
+        # a config file does not name another one
+        unknown = [key for key in file_vals
+                   if key not in names or key == "config"]
+        if unknown:
+            raise ValueError(f"{command} does not take config key(s): "
+                             + ", ".join(unknown))
     out = {}
     for name, (parse, default) in _COMMON.items():
         raw = getattr(args, name, None)
@@ -108,17 +115,16 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return out
 
 
-def _experiment_config(vals: dict, kind: str) -> harness.ExperimentConfig:
+def _experiment_config(vals: dict) -> harness.ExperimentConfig:
     return harness.ExperimentConfig(
-        kind=kind, dim=vals["dim"], s_values=vals["s"],
+        dim=vals["dim"], s_values=vals["s"],
         levels=vals["levels"], ref_level=vals["ref_level"], mu=vals["mu"],
         lower=vals["a"], upper=vals["b"], c_k=vals["ck"], rtol=vals["rtol"],
         opt_tol=vals["tol"], out_dir=vals["out"], threads=vals["threads"])
 
 
 def _cmd_state_conv(vals: dict) -> int:
-    tables = harness.run_state_convergence(
-        _experiment_config(vals, "state_convergence"))
+    tables = harness.run_state_convergence(_experiment_config(vals))
     for s, table in tables.items():
         print(f"# s = {s}")
         print(table.to_csv(), end="")
@@ -126,8 +132,7 @@ def _cmd_state_conv(vals: dict) -> int:
 
 
 def _cmd_control_conv(vals: dict) -> int:
-    tables = harness.run_control_convergence(
-        _experiment_config(vals, "control_convergence"))
+    tables = harness.run_control_convergence(_experiment_config(vals))
     for s, per_series in tables.items():
         for name, table in per_series.items():
             print(f"# s = {s}, series = {name}")
@@ -136,8 +141,7 @@ def _cmd_control_conv(vals: dict) -> int:
 
 
 def _cmd_solver_stats(vals: dict) -> int:
-    cfg = _experiment_config(vals, "solver_stats")
-    print(harness.run_solver_stats(cfg), end="")
+    print(harness.run_solver_stats(_experiment_config(vals)), end="")
     return 0
 
 
@@ -224,7 +228,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        vals = _resolve(args, args.command)
+        vals = _resolve(args, args.command, flags[args.command])
         if args.command == "solver-stats":
             vals["ref_level"] = max(vals["levels"]) + 1
         return runners[args.command](vals)

@@ -105,8 +105,7 @@ class _Reduced:
         self.problem = problem
         self.mesh = problem.mesh
         self.ops = fem.operators(problem.mesh)
-        self._state_opts = problem.options
-        self._adjoint_opts = problem.options
+        self.options = problem.options
         self.stats = SolveStats()
         self.n_solves = 0
 
@@ -125,22 +124,17 @@ class _Reduced:
 
     def state(self, z_values: np.ndarray) -> NodalFunction:
         res = fractional_solve(self.mesh, self.problem.s,
-                               self._wrap(z_values), self._state_opts)
+                               self._wrap(z_values), self.options)
         self._accumulate(res.stats)
         return res.u
 
     def adjoint(self, u: NodalFunction) -> NodalFunction:
-        mismatch = NodalFunction(self.mesh,
-                                 u.values - self.problem.desired.values)
-        res = fractional_solve(self.mesh, self.problem.s, mismatch,
-                               self._adjoint_opts)
-        self._accumulate(res.stats)
-        return res.u
+        return self.apply_solution_operator(NodalFunction(
+            self.mesh, u.values - self.problem.desired.values))
 
     def apply_solution_operator(self, u: NodalFunction) -> NodalFunction:
         """Plain S applied to a P1 function (no desired-state shift)."""
-        res = fractional_solve(self.mesh, self.problem.s, u,
-                               self._adjoint_opts)
+        res = fractional_solve(self.mesh, self.problem.s, u, self.options)
         self._accumulate(res.stats)
         return res.u
 

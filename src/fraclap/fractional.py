@@ -11,16 +11,16 @@ meshes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .fem import CellwiseFunction, NodalFunction
 from .mesh import Mesh
-from .multigrid import GeometricMultigrid, IncompleteCholesky, MeshHierarchy
+from .multigrid import GeometricMultigrid, MeshHierarchy
 from .shifted import SolveStats, solve_family
 
 __all__ = [
@@ -92,7 +92,9 @@ class SolveOptions:
     solved to a relative residual of ``rtol``; the sequential solver rebuilds
     its preconditioner once more than ``iter_cap`` iterations were needed.
     ``k`` overrides the mesh-coupled quadrature step (used by convergence
-    studies that sweep the quadrature alone).
+    studies that sweep the quadrature alone).  The preconditioner follows
+    the mesh: geometric multigrid on the structured unit-square/cube meshes,
+    IC(0) on any other mesh.
     """
 
     c_k: float = 1.1
@@ -100,7 +102,6 @@ class SolveOptions:
     rtol: float = 1e-8
     n_max: int | None = None
     iter_cap: int = 20
-    preconditioner: str = "auto"       # auto | gmg | ic0
 
     def resolved_n_max(self, dim: int) -> int:
         if self.n_max is not None:
@@ -124,40 +125,37 @@ def _as_load(mesh: Mesh, rhs) -> np.ndarray:
                     "callable, or coefficient array")
 
 
-def _prec_factory(mesh: Mesh, options: SolveOptions):
-    kind = options.preconditioner
-    if kind == "auto":
-        kind = "gmg" if mesh.cells_per_side is not None else "ic0"
-    if kind == "gmg":
-        hierarchy = MeshHierarchy.for_mesh(mesh)
-
-        def factory(alpha):
-            return GeometricMultigrid(hierarchy, alpha)
-        return factory
-    if kind == "ic0":
-        ops = fem.operators(mesh)
-
-        def factory(alpha):
-            return IncompleteCholesky(
-                ops.stiffness + alpha * sp.diags(ops.lumped_mass))
-        return factory
-    raise ValueError(f"unknown preconditioner kind {kind!r}")
+def _prec_factory(mesh: Mesh):
+    """Geometric multigrid on structured meshes; None otherwise, so that the
+    family solve builds its default IC(0) preconditioner."""
+    if mesh.cells_per_side is None:
+        return None
+    return functools.partial(GeometricMultigrid, MeshHierarchy.for_mesh(mesh))
 
 
-def fractional_solve(mesh: Mesh, s: float, rhs,
-                     options: SolveOptions | None = None) -> FractionalSolveResult:
-    """Approximate u with (-Laplace)^s u = rhs, u = 0 on the boundary."""
+def _solve_quadrature(mesh: Mesh, s: float, rhs, options: SolveOptions | None,
+                      weighted: bool):
+    """``(values, stats, quad)`` of the shifted family the quadrature for
+    ``s`` defines: the weighted combination, or one row per node."""
     options = options or SolveOptions()
     k = options.k if options.k is not None else \
         options.c_k / math.log(2.0 / mesh.h)
     quad = sinc_quadrature(s, k)
     Z = _as_load(mesh, rhs)
     ops = fem.operators(mesh)
-    u_values, stats = solve_family(
+    values, stats = solve_family(
         ops.stiffness, ops.lumped_mass, quad.shifts, Z,
-        labels=quad.l, weights=quad.weights, rtol=options.rtol,
-        n_max=options.resolved_n_max(mesh.dim), iter_cap=options.iter_cap,
-        prec_factory=_prec_factory(mesh, options))
+        labels=quad.l, weights=quad.weights if weighted else None,
+        rtol=options.rtol, n_max=options.resolved_n_max(mesh.dim),
+        iter_cap=options.iter_cap, prec_factory=_prec_factory(mesh))
+    return values, stats, quad
+
+
+def fractional_solve(mesh: Mesh, s: float, rhs,
+                     options: SolveOptions | None = None) -> FractionalSolveResult:
+    """Approximate u with (-Laplace)^s u = rhs, u = 0 on the boundary."""
+    u_values, stats, quad = _solve_quadrature(mesh, s, rhs, options,
+                                              weighted=True)
     return FractionalSolveResult(u=NodalFunction(mesh, u_values),
                                  stats=stats, quadrature=quad)
 
@@ -169,18 +167,7 @@ def solve_all_shifted(mesh: Mesh, s: float, rhs,
     Materializes every V^l, so this is intended for small meshes and tests;
     ``fractional_solve`` combines the solutions on the fly instead.
     """
-    options = options or SolveOptions()
-    k = options.k if options.k is not None else \
-        options.c_k / math.log(2.0 / mesh.h)
-    quad = sinc_quadrature(s, k)
-    Z = _as_load(mesh, rhs)
-    ops = fem.operators(mesh)
-    solutions, stats = solve_family(
-        ops.stiffness, ops.lumped_mass, quad.shifts, Z,
-        labels=quad.l, rtol=options.rtol,
-        n_max=options.resolved_n_max(mesh.dim), iter_cap=options.iter_cap,
-        prec_factory=_prec_factory(mesh, options))
-    return solutions, stats, quad
+    return _solve_quadrature(mesh, s, rhs, options, weighted=False)
 
 
 _ORACLE_DOF_CAP = 5000

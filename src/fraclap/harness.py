@@ -40,7 +40,6 @@ __all__ = [
 
 @dataclass
 class ExperimentConfig:
-    kind: str = "state_convergence"
     dim: int = 2
     s_values: tuple = (0.05, 0.10, 0.25)
     levels: tuple = (3, 4, 5, 6, 7)
@@ -221,6 +220,15 @@ def _state_solution(mesh: Mesh, s: float, config: ExperimentConfig):
     return fractional_solve(mesh, s, hat_rhs(mesh), opts)
 
 
+def _run_jobs(threads: int, fn, jobs) -> dict:
+    """``{key: result}`` over ``fn(job) -> (key, result)`` for every job,
+    on a pool of ``threads`` threads when more than one is asked for."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return dict(pool.map(fn, jobs))
+    return dict(map(fn, jobs))
+
+
 def run_state_convergence(config: ExperimentConfig) -> dict:
     """L2 errors of the fractional solves against a fine reference.
 
@@ -238,15 +246,7 @@ def run_state_convergence(config: ExperimentConfig) -> dict:
         return (s, m), _state_solution(meshes[m], s, config).u.values
 
     jobs = [(s, m) for s in config.s_values for m in ms]
-    results = {}
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for key, vec in pool.map(solve_level, jobs):
-                results[key] = vec
-    else:
-        for job in jobs:
-            key, vec = solve_level(job)
-            results[key] = vec
+    results = _run_jobs(config.threads, solve_level, jobs)
 
     tables = {}
     for s in config.s_values:
@@ -282,7 +282,6 @@ def _chain_sizes(ms, m_ref):
 def run_solver_stats(config: ExperimentConfig) -> str:
     """Per-level solver statistics in CSV form (also returned as text)."""
     ms = [2 ** lv for lv in config.levels]
-    rows = []
 
     def solve_one(args):
         s, m = args
@@ -293,17 +292,8 @@ def run_solver_stats(config: ExperimentConfig) -> str:
                         st.n_alg1, st.n_alg2, st.n_prec_setups)
 
     jobs = [(s, m) for s in config.s_values for m in ms]
-    collected = {}
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for key, row in pool.map(solve_one, jobs):
-                collected[key] = row
-    else:
-        for job in jobs:
-            key, row = solve_one(job)
-            collected[key] = row
-    for job in jobs:
-        rows.append(collected[job])
+    collected = _run_jobs(config.threads, solve_one, jobs)
+    rows = [collected[job] for job in jobs]
 
     lines = ["N_omega,s,N_alpha,n_alg1,n_alg2,n_amg_setups"]
     for n_omega, s, n_alpha, n1, n2, setups in rows:

@@ -19,7 +19,8 @@ preconditioned CG, rebuilding the preconditioner whenever the previous
 system needed more than ``iter_cap`` iterations.  Each system starts from
 its neighbor's solution, and since all systems share the right-hand side
 its initial residual follows from the neighbor's final residual without a
-matvec.
+matvec.  ``solve_family`` is the one entry point that runs these stages in
+sequence; it returns either every solution or their weighted combination.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .multigrid import IncompleteCholesky
@@ -38,8 +38,6 @@ __all__ = [
     "ShiftedFamily",
     "SolveStats",
     "normalize",
-    "condition_bound",
-    "solve_well_conditioned",
     "solve_preconditioned",
     "solve_family",
 ]
@@ -86,7 +84,6 @@ class ShiftedFamily:
     rhs: np.ndarray
     rhs_scaled: np.ndarray        # (1/rho) M_h^{-1/2} Z
     inv_sqrt_mass: np.ndarray
-    _kappa: float | None = None
 
     @property
     def n(self) -> int:
@@ -103,34 +100,6 @@ class ShiftedFamily:
     def unnormalize(self, v_scaled: np.ndarray) -> np.ndarray:
         """Map V~ back to V = M_h^{-1/2} V~ (acts on the last axis)."""
         return v_scaled * self.inv_sqrt_mass
-
-    def kappa_estimate(self, steps: int = 20) -> float:
-        """Condition number of A~ from a few Lanczos steps (diagnostic)."""
-        if self._kappa is None:
-            n = self.n
-            if n == 1:
-                self._kappa = 1.0
-            else:
-                q = np.ones(n) / np.sqrt(n)
-                q_prev = np.zeros(n)
-                a, b = [], []
-                beta = 0.0
-                for _ in range(min(steps, n)):
-                    w = self.apply_scaled(q) - beta * q_prev
-                    alpha = q @ w
-                    w -= alpha * q
-                    beta = float(np.linalg.norm(w))
-                    a.append(alpha)
-                    if beta < 1e-14:
-                        break
-                    b.append(beta)
-                    q_prev, q = q, w / beta
-                if len(a) == 1:
-                    self._kappa = 1.0
-                else:
-                    ev = sla.eigvalsh_tridiagonal(a, b[:len(a) - 1])
-                    self._kappa = float(ev[-1] / max(ev[0], 1e-300))
-        return self._kappa
 
 
 # scaled operator per (stiffness, lumped mass) pair of objects, which are
@@ -176,19 +145,6 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
         shifts=shifts[order], shifts_scaled=shifts[order] / rho,
         labels=labels[order], rhs=Z, rhs_scaled=d * Z / rho,
         inv_sqrt_mass=d)
-
-
-def condition_bound(family: ShiftedFamily, label) -> float:
-    """Bound 1 + min(lambda_max / alpha~_l, kappa) on the 2-condition number.
-
-    lambda_max(A~) <= 1 exactly after the sup-norm scaling; kappa(A~) is a
-    Lanczos estimate.  Diagnostic only, never used by the solvers.
-    """
-    pos = np.flatnonzero(family.labels == label)
-    if pos.size == 0:
-        raise ValueError(f"unknown shift label {label!r}")
-    alpha = family.shifts_scaled[pos[0]]
-    return 1.0 + min(1.0 / alpha, family.kappa_estimate())
 
 
 class _MultishiftScan:
@@ -307,32 +263,6 @@ class _MultishiftScan:
         if weights is not None:
             return store @ self.Q[:m_max]
         return Yt.T @ self.Q[:m_max]
-
-
-def _multishift_stats(family: ShiftedFamily, scan: _MultishiftScan):
-    unsolved = np.flatnonzero(scan.m_conv == 0)
-    n_solved = int(unsolved[0]) if unsolved.size else family.n_shifts
-    stats = SolveStats(n_alg1=n_solved, n_matvec=scan.n_basis)
-    for i in range(n_solved):
-        stats.iterations[family.labels[i]] = int(scan.m_conv[i])
-    stats.crossover = None if n_solved == 0 else family.labels[n_solved - 1]
-    return stats, n_solved
-
-
-def solve_well_conditioned(family: ShiftedFamily, n_max: int, rtol: float):
-    """Multishift CG for the leading shifts; stops when the shared basis
-    would exceed ``n_max`` vectors.
-
-    Returns ``(solutions, crossover_label, stats)``: one row per solved
-    shift in family (decreasing-shift) order, in the scaled variables, each
-    meeting the rtol residual bound; ``crossover_label`` identifies the last
-    solved system (None if the very first shift already needs more than
-    ``n_max`` basis vectors).
-    """
-    scan = _MultishiftScan(family, n_max, rtol)
-    stats, n_solved = _multishift_stats(family, scan)
-    solutions = scan.reconstruct(np.arange(n_solved))
-    return solutions, stats.crossover, stats
 
 
 def _pcg(op, b, x0, r0, prec, rtol, maxiter):
@@ -456,23 +386,16 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
     return out, stats
 
 
-def _merge_stats(s1: SolveStats, s2: SolveStats) -> SolveStats:
-    merged = SolveStats(iterations={**s1.iterations, **s2.iterations},
-                        n_alg1=s1.n_alg1 + s2.n_alg1,
-                        n_alg2=s1.n_alg2 + s2.n_alg2,
-                        crossover=s1.crossover,
-                        n_prec_setups=s1.n_prec_setups + s2.n_prec_setups,
-                        n_matvec=s1.n_matvec + s2.n_matvec)
-    return merged
-
-
 def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
                  n_max=500, iter_cap=20, prec_factory=None, weights=None):
     """Solve (A + alpha_l M_h) V^l = Z for every shift.
 
-    ``weights`` switches the return value from the full solution stack
-    (input shift order, one row per shift) to the weighted combination
-    ``sum_l w_l V^l``, which avoids materializing every solution.
+    The leading (large) shifts are solved by the multishift scan until its
+    basis would exceed ``n_max`` vectors, the rest by ``solve_preconditioned``
+    warm-started from the last multishift solution.  Returns ``(values,
+    stats)``: the solution stack (input shift order, one row per shift), or
+    with ``weights`` the combination ``sum_l w_l V^l``, which avoids
+    materializing every solution.
     """
     shifts = np.asarray(shifts, dtype=float)
     family = normalize(A, lumped_mass, shifts, Z, labels=labels)
@@ -481,40 +404,29 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     mh = family.lumped_mass
     rtol = rtol / math.sqrt(float(mh.max() / mh.min()))
     order = np.argsort(-shifts, kind="stable")     # family order
-    w_ordered = None
     if weights is not None:
-        w_ordered = np.asarray(weights, dtype=float)[order]
+        weights = np.asarray(weights, dtype=float)[order]
 
     scan = _MultishiftScan(family, n_max, rtol)
-    S = family.n_shifts
-    stats1, n_solved = _multishift_stats(family, scan)
-
+    unsolved = np.flatnonzero(scan.m_conv == 0)
+    n_solved = int(unsolved[0]) if unsolved.size else family.n_shifts
     x_start = None
-    if n_solved < S and n_solved > 0 and not scan.trivial:
+    if unsolved.size and n_solved > 0:
         x_start = scan.reconstruct(np.array([n_solved - 1]))[0]
-
-    if weights is not None:
-        combined = scan.reconstruct(np.arange(n_solved),
-                                    weights=w_ordered[:n_solved])
-        scan.Q = None                      # release the basis before PCG
-        tail, stats2 = solve_preconditioned(
-            family, n_solved, iter_cap, rtol, prec_factory=prec_factory,
-            x_start=x_start, weights=w_ordered)
-        stats = _merge_stats(stats1, stats2)
-        if combined.size == 0:
-            combined = np.zeros(family.n)
-        return family.unnormalize(combined + tail), stats
-
-    sols_scaled = scan.reconstruct(np.arange(n_solved))
-    scan.Q = None
-    tail, stats2 = solve_preconditioned(
+    head = scan.reconstruct(
+        np.arange(n_solved),
+        weights=None if weights is None else weights[:n_solved])
+    scan.Q = None                          # release the basis before PCG
+    tail, pcg = solve_preconditioned(
         family, n_solved, iter_cap, rtol, prec_factory=prec_factory,
-        x_start=x_start)
-    stats = _merge_stats(stats1, stats2)
-    all_scaled = np.vstack([sols_scaled.reshape(n_solved, family.n),
-                            tail.reshape(S - n_solved, family.n)])
-    solutions = family.unnormalize(all_scaled)
-    # back to the caller's shift order
-    inverse = np.empty(S, dtype=np.int64)
-    inverse[order] = np.arange(S)
-    return solutions[inverse], stats
+        x_start=x_start, weights=weights)
+    stats = SolveStats(
+        iterations={**{family.labels[i]: int(scan.m_conv[i])
+                       for i in range(n_solved)}, **pcg.iterations},
+        n_alg1=n_solved, n_alg2=pcg.n_alg2,
+        crossover=family.labels[n_solved - 1] if n_solved else None,
+        n_prec_setups=pcg.n_prec_setups, n_matvec=scan.n_basis + pcg.n_matvec)
+    if weights is not None:
+        return family.unnormalize(head + tail), stats
+    rows = family.unnormalize(np.vstack([head, tail]))
+    return rows[np.argsort(order)], stats      # the caller's shift order

@@ -84,8 +84,7 @@ def test_criterion_1b_sinc_error_magnitude_at_smallest_step():
 # ---------------------------------------------------------------- criterion 2
 def test_criterion_2_state_equation_rates():
     t0 = time.time()
-    cfg = ExperimentConfig(kind="state_convergence",
-                           s_values=(0.05, 0.10, 0.25),
+    cfg = ExperimentConfig(s_values=(0.05, 0.10, 0.25),
                            levels=(3, 4, 5, 6, 7), ref_level=9)
     tables = run_state_convergence(cfg)
     targets = {0.05: 1.6, 0.10: 1.7, 0.25: 2.0}
@@ -222,8 +221,7 @@ def test_criterion_5_multishift_matches_plain_cg():
 # ---------------------------------------------------------------- criterion 6
 def test_criterion_6_control_problem_rates():
     t0 = time.time()
-    cfg = ExperimentConfig(kind="control_convergence",
-                           s_values=(0.05, 0.25, 0.5),
+    cfg = ExperimentConfig(s_values=(0.05, 0.25, 0.5),
                            levels=(3, 4, 5, 6), ref_level=8, mu=0.1,
                            lower=-0.8, upper=0.8)
     tables = run_control_convergence(cfg)

@@ -1,12 +1,15 @@
 """Sinc quadrature, fractional solves, and the dense spectral oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from fraclap import (NodalFunction, interpolate, l2_norm, quadrature_for_mesh,
-                     sinc_quadrature, solve_all_shifted,
-                     spectral_oracle_solve, unit_cube_mesh, unit_square_mesh)
+                     read_mesh, sinc_quadrature, solve_all_shifted,
+                     spectral_oracle_solve, unit_cube_mesh, unit_square_mesh,
+                     write_mesh)
 from fraclap import shifted
 from fraclap.fem import operators
 from fraclap.fractional import SolveOptions, fractional_solve
@@ -169,6 +172,30 @@ class TestFractionalSolve:
         oracle = spectral_oracle_solve(mesh, 0.5, z)
         diff = NodalFunction(mesh, res.u.values - oracle.values)
         assert l2_norm(diff) <= 3e-2 * l2_norm(oracle)
+
+    def test_ic0_tail_on_unstructured_mesh(self, tmp_path):
+        # perturbed interior vertices: the mesh reads back without its grid
+        # structure, so the PCG tail runs on the default IC(0) preconditioner
+        grid = unit_square_mesh(16)
+        vertices = grid.vertices.copy()
+        rng = np.random.default_rng(0)
+        vertices[grid.interior] += 0.1 * grid.h * rng.uniform(
+            -1.0, 1.0, (grid.n_interior, 2))
+        path = tmp_path / "perturbed.txt"
+        write_mesh(dataclasses.replace(grid, vertices=vertices), path)
+        mesh = read_mesh(path)
+        assert mesh.cells_per_side is None
+        z = interpolate(mesh, lambda p: np.sin(np.pi * p).prod(axis=1))
+        res = fractional_solve(mesh, 0.5, z,
+                               SolveOptions(k=0.3, rtol=1e-10, n_max=20))
+        assert res.stats.n_prec_setups >= 1
+        ref = fractional_solve(mesh, 0.5, z,
+                               SolveOptions(k=0.3, rtol=1e-10, n_max=500))
+        diff = NodalFunction(mesh, res.u.values - ref.u.values)
+        assert l2_norm(diff) <= 1e-9 * l2_norm(ref.u)
+        oracle = spectral_oracle_solve(mesh, 0.5, z)
+        diff = NodalFunction(mesh, res.u.values - oracle.values)
+        assert l2_norm(diff) <= 2e-3 * l2_norm(oracle)
 
     def test_all_solutions_variant_matches_combination(self):
         mesh = unit_square_mesh(8)

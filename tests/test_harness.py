@@ -116,8 +116,7 @@ class TestProlongationExactness:
 
 class TestStateConvergence:
     def test_small_study_structure_and_determinism(self, tmp_path):
-        cfg = ExperimentConfig(kind="state_convergence", s_values=(0.5,),
-                               levels=(2, 3), ref_level=5,
+        cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3), ref_level=5,
                                out_dir=str(tmp_path))
         tables = run_state_convergence(cfg)
         table = tables[0.5]
@@ -132,8 +131,8 @@ class TestStateConvergence:
         assert (tmp_path / "cache").is_dir()
 
     def test_reference_error_against_itself_is_zero(self, tmp_path):
-        cfg = ExperimentConfig(kind="state_convergence", s_values=(0.5,),
-                               levels=(3,), ref_level=4, out_dir=None)
+        cfg = ExperimentConfig(s_values=(0.5,), levels=(3,), ref_level=4,
+                               out_dir=None)
         # degenerate check through the prolongation identity: solving the
         # reference and comparing with itself gives zero
         from fraclap.fractional import SolveOptions, fractional_solve
@@ -190,7 +189,7 @@ class TestReferenceCache:
 
 class TestSolverStats:
     def test_structure(self):
-        cfg = ExperimentConfig(kind="solver_stats", s_values=(0.05, 0.5, 0.95),
+        cfg = ExperimentConfig(s_values=(0.05, 0.5, 0.95),
                                levels=(2, 3), ref_level=9, out_dir=None)
         text = run_solver_stats(cfg)
         lines = text.strip().splitlines()
@@ -259,6 +258,18 @@ class TestCli:
         code = main(["state-conv", "--config", str(cfg)])
         assert code == 0
         assert "25," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["threads = 2", "seed = 7",
+                                      "rtoll = 1e-8", "config = other.cfg"],
+                             ids=["threads", "seed", "rtoll", "config"])
+    def test_config_rejects_keys_the_command_does_not_take(self, tmp_path,
+                                                           capsys, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"s = 0.5\nlevels = 2\nref-level = 3\n{line}\n")
+        code = main(["control-conv", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "control-conv" in err and f": {line.split()[0]}" in err
 
     def test_failure_exit_code(self, capsys):
         code = main(["state-conv", "--s", "0.5", "--levels", "3..4",

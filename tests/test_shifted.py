@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fraclap import (condition_bound, normalize, solve_family,
-                     solve_well_conditioned, unit_square_mesh)
+from fraclap import normalize, solve_family, unit_square_mesh
 from fraclap.fem import operators
 from fraclap.fractional import quadrature_for_mesh, sinc_quadrature
 from fraclap.harness import hat_rhs
@@ -75,37 +74,6 @@ class TestNormalize:
         np.testing.assert_allclose(sols[:, 0], expected, rtol=1e-12)
 
 
-class TestConditionBound:
-    def setup_method(self):
-        mesh = unit_square_mesh(8)
-        ops = operators(mesh)
-        quad = sinc_quadrature(0.5, 0.5)
-        self.family = normalize(ops.stiffness, ops.lumped_mass, quad.shifts,
-                                np.ones(mesh.n_interior), labels=quad.l)
-        self.labels = quad.l
-
-    def test_dominant_shift_limit(self):
-        # the largest quadrature shift is already nearly unconditioned
-        assert condition_bound(self.family, self.labels[-1]) < 1.05
-        huge = normalize(sp.eye(4).tocsr(), np.ones(4), np.array([1e8]),
-                         np.ones(4))
-        assert condition_bound(huge, 0) < 1.0 + 1e-7
-
-    def test_unit_shift_bound(self):
-        fam = normalize(sp.eye(4).tocsr(), np.ones(4), np.array([1.0]),
-                        np.ones(4))
-        assert condition_bound(fam, 0) <= 2.0 + 1e-12
-
-    def test_monotone_in_label(self):
-        bounds = [condition_bound(self.family, l) for l in self.labels]
-        # label increasing = shift increasing = condition nonincreasing
-        assert all(b1 >= b2 - 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
-
-    def test_unknown_label(self):
-        with pytest.raises(ValueError):
-            condition_bound(self.family, 10 ** 9)
-
-
 class TestMultishift:
     def test_diagonal_closed_form(self):
         rng = np.random.default_rng(0)
@@ -123,13 +91,14 @@ class TestMultishift:
         mesh = unit_square_mesh(16)
         ops = operators(mesh)
         quad = sinc_quadrature(0.5, 0.4)
-        Z = hat_rhs(mesh)
-        fam = normalize(ops.stiffness, ops.lumped_mass, quad.shifts,
-                        np.ones(mesh.n_interior), labels=quad.l)
-        sols, crossover, stats = solve_well_conditioned(fam, 120, 1e-8)
-        assert stats.n_matvec <= 120
-        assert sols.shape == (stats.n_alg1, fam.n)
-        assert crossover == fam.labels[stats.n_alg1 - 1]
+        _, stats = solve_family(ops.stiffness, ops.lumped_mass, quad.shifts,
+                                np.ones(mesh.n_interior), labels=quad.l,
+                                n_max=120)
+        by_shift = quad.l[::-1]             # labels by decreasing shift
+        assert all(stats.iterations[label] <= 120
+                   for label in by_shift[:stats.n_alg1])
+        assert stats.crossover == by_shift[stats.n_alg1 - 1]
+        assert stats.n_alg1 + stats.n_alg2 == quad.n_systems
 
     def test_agrees_with_plain_cg_per_shift(self):
         mesh = unit_square_mesh(16)
