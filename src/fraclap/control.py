@@ -348,9 +348,9 @@ def solve_fully_discrete(problem: ControlProblem, tol: float = 1e-5,
     """Piecewise-constant control solve with cellwise box constraints.
 
     ``method`` may be "projected_gradient" (default) or "lbfgsb", which
-    drives scipy's bound-constrained quasi-Newton method and then verifies
-    the same stationarity measure (falling back to the projected gradient
-    loop if the tolerance is not yet met).
+    drives scipy's bound-constrained quasi-Newton method until the same
+    stationarity measure meets the tolerance (falling back to the projected
+    gradient loop if L-BFGS-B stops before that).
     """
     if problem.mode != FULLY_DISCRETE:
         raise ValueError("problem mode must be 'p0'")
@@ -370,30 +370,38 @@ def solve_fully_discrete(problem: ControlProblem, tol: float = 1e-5,
         u = red.state(z)
         p = red.adjoint(u)
         g = red.gradient_values(z, p)
-        last.update(z=z.copy(), J=red.value(z, u), g=g)
+        last.update(z=z.copy(), u=u, p=p, J=red.value(z, u), g=g)
         return last["J"], vols * g
 
     objective_history, residual_history = [], []
+    threshold = tol * math.sqrt(mesh.h ** mesh.dim)
 
     def record(xk):
         # L-BFGS-B reports an iterate only after evaluating it, so the last
         # evaluation is the accepted iterate's
+        res = _stationarity(last["z"], last["g"], problem.lower,
+                            problem.upper)
         objective_history.append(last["J"])
-        residual_history.append(_stationarity(last["z"], last["g"],
-                                              problem.lower, problem.upper))
+        residual_history.append(res)
+        # stop on the stationarity measure: scipy's own ftol / gtol would
+        # go on deciding below the accuracy of the inner solves
+        if res <= threshold:
+            raise StopIteration
 
     z_init = np.clip(z0 if z0 is not None else np.zeros(mesh.n_cells),
                      problem.lower, problem.upper)
-    threshold = tol * math.sqrt(mesh.h ** mesh.dim)
     out = minimize(fun, z_init, jac=True, method="L-BFGS-B",
                    bounds=[(problem.lower, problem.upper)] * mesh.n_cells,
                    callback=record,
                    options={"maxiter": problem.max_iterations,
                             "ftol": 1e-16, "gtol": 1e-14})
     z = np.clip(out.x, problem.lower, problem.upper)
-    u = red.state(z)
-    p = red.adjoint(u)
-    g = red.gradient_values(z, p)
+    if np.array_equal(z, last["z"]):
+        u, p, g = last["u"], last["p"], last["g"]
+    else:
+        u = red.state(z)
+        p = red.adjoint(u)
+        g = red.gradient_values(z, p)
     res = _stationarity(z, g, problem.lower, problem.upper)
     if res > threshold:
         return _projected_descent(problem, red, tol, z)

@@ -25,6 +25,8 @@ from fraclap.fractional import SolveOptions, fractional_solve, solve_all_shifted
 from fraclap.harness import ExperimentConfig, run_control_convergence, \
     run_state_convergence
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(name, ok, detail=""):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} {detail}")

@@ -1,5 +1,7 @@
 """Optimal control solvers: gradients, optimality, and post-processing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,10 @@ class TestFullyDiscreteSolve:
         # one entry per L-BFGS-B iterate (the fallback would record more)
         assert len(sol.objective_history) == sol.iterations > 0
         assert len(sol.residual_history) == sol.iterations
+        # it stops at the first iterate that meets the threshold
+        threshold = 1e-6 * math.sqrt(mesh.h ** mesh.dim)
+        assert sol.residual_history[-1] <= threshold
+        assert all(r > threshold for r in sol.residual_history[:-1])
         hist = sol.objective_history
         assert all(b <= a + 1e-14 for a, b in zip(hist, hist[1:]))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fraclap import normalize, solve_family, unit_square_mesh
+from fraclap import normalize, shifted, solve_family, unit_square_mesh
 from fraclap.fem import operators
 from fraclap.fractional import quadrature_for_mesh, sinc_quadrature
 from fraclap.harness import hat_rhs
@@ -261,9 +261,11 @@ class TestSequentialPCG:
 
     def test_rebuild_trigger_fires_iff_cap_exceeded(self):
         fam = self._family()
-        # cap 0: every solve "exceeds" the cap, so every system rebuilds
+        # cap 0: every system after one that iterated "exceeds" the cap and
+        # rebuilds, on top of the initial setup
         _, stats0 = solve_preconditioned(fam, fam.n_shifts - 12, 0, 1e-10)
-        assert stats0.n_prec_setups == 12
+        iters = [stats0.iterations[l] for l in fam.labels[-12:]]
+        assert stats0.n_prec_setups == 1 + sum(it > 0 for it in iters[:-1])
         # generous cap: only the initial setup
         _, stats1 = solve_preconditioned(fam, fam.n_shifts - 12, 500, 1e-10)
         assert stats1.n_prec_setups == 1
@@ -299,15 +301,46 @@ class TestSequentialPCG:
             assert np.linalg.norm(r) <= 1e-8 * norm_z
 
 
+def traced_solve(monkeypatch, fam, start, iter_cap, rtol, **kwargs):
+    """``solve_preconditioned`` with its matvecs counted by wrapping
+    ``fam.apply_scaled``, and its minimum-residual starts counted from the
+    PCG runs it makes: a system starts from a combination exactly when the
+    residual carried from its neighbor, ``r - (sigma - sigma_prev) x``,
+    misses the tolerance.  Returns ``(result, matvecs, starts)``."""
+    matvecs, finals = [0], []
+    apply, pcg = fam.apply_scaled, shifted._pcg
+
+    def counted_apply(v):
+        matvecs[0] += 1
+        return apply(v)
+
+    def recorded_pcg(*args):
+        x, r, iters, converged = pcg(*args)
+        if converged:               # a system's last run (after any retry)
+            finals.append((x.copy(), r.copy()))
+        return x, r, iters, converged
+
+    monkeypatch.setattr(fam, "apply_scaled", counted_apply)
+    monkeypatch.setattr(shifted, "_pcg", recorded_pcg)
+    result = solve_preconditioned(fam, start, iter_cap, rtol, **kwargs)
+    sig = fam.shifts_scaled[start:]
+    tol = rtol * float(np.linalg.norm(fam.rhs_scaled))
+    starts = sum(np.linalg.norm(r - (s1 - s0) * x) > tol
+                 for (x, r), s0, s1 in zip(finals, sig, sig[1:]))
+    return result, matvecs[0], starts
+
+
 class TestCarriedResidual:
-    """The PCG tail derives each initial residual from its neighbor's."""
+    """The PCG tail derives each initial residual from its neighbor's, and
+    restarts a system whose carried residual misses the tolerance from the
+    minimum-residual combination of earlier solutions."""
 
-    START, RTOL = 60, 1e-8
+    START, RTOL = 0, 1e-8
 
-    def _family(self):
-        mesh = unit_square_mesh(32)
+    def _family(self, m=32, s=0.95):
+        mesh = unit_square_mesh(m)
         ops = operators(mesh)
-        quad = quadrature_for_mesh(0.95, mesh.h)
+        quad = quadrature_for_mesh(s, mesh.h)
         fam = normalize(ops.stiffness, ops.lumped_mass, quad.shifts,
                         assemble_rhs(mesh), labels=quad.l)
         return fam, quad.weights[::-1]      # family order: decreasing shift
@@ -325,14 +358,33 @@ class TestCarriedResidual:
             r = b - fam.apply_scaled(x) - sigma * x
             assert np.linalg.norm(r) <= self.RTOL * np.linalg.norm(b)
 
-    def test_only_the_first_system_pays_a_residual_matvec(self):
+    @pytest.mark.parametrize("m, s", [(64, 0.5), (32, 0.05)])
+    def test_minimum_residual_starts_meet_rtol(self, m, s):
+        # the whole quadrature as one tail, scaled shifts from ~1e4 (m = 64)
+        # or ~1e70 (m = 32, s = 0.05) down: large combination coefficients,
+        # so a start that kept its combined residual instead of computing
+        # the true one left rows at 7e-3 and 31 relative
+        fam, _ = self._family(m, s)
+        sols, _ = solve_preconditioned(fam, 0, 20, self.RTOL)
+        b = fam.rhs_scaled
+        for x, sigma in zip(sols, fam.shifts_scaled):
+            r = b - fam.apply_scaled(x) - sigma * x
+            assert np.linalg.norm(r) <= self.RTOL * np.linalg.norm(b)
+
+    def test_only_the_first_system_pays_a_residual_matvec(self, monkeypatch):
         fam, _ = self._family()
-        _, stats = solve_preconditioned(fam, self.START, 20, self.RTOL)
+        (_, stats), matvecs, starts = traced_solve(
+            monkeypatch, fam, self.START, 20, self.RTOL)
         # no rebuild retry: every system converged within maxiter
         assert max(stats.iterations.values()) < 200
-        assert stats.n_matvec == 1 + sum(stats.iterations.values())
+        # besides the first system's, only the minimum-residual starts pay
+        # a residual matvec; most carried residuals meet the tolerance
+        assert 0 < starts < fam.n_shifts // 4
+        assert stats.n_matvec == matvecs
+        assert stats.n_matvec == 1 + starts + sum(stats.iterations.values())
 
-    def test_retry_after_fresh_preconditioner_recomputes_residual(self):
+    def test_retry_after_fresh_preconditioner_recomputes_residual(
+            self, monkeypatch):
         n = 400
         A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1]).tocsr() * n * n
@@ -349,13 +401,16 @@ class TestCarriedResidual:
         Z = np.random.default_rng(5).standard_normal(n)
         fam = normalize(A, mass, np.array([1e8, 1e-3]), Z)
         # the exact inverse at the huge shift is a poor preconditioner at
-        # the small one: the second system exhausts maxiter = 50, is
-        # retried with a fresh preconditioner from its true residual
-        sols, stats = solve_preconditioned(fam, 0, 5, 1e-10,
-                                           prec_factory=Exact)
+        # the small one: the second system, after its minimum-residual
+        # start, exhausts maxiter = 50 and is retried with a fresh
+        # preconditioner from its true residual
+        (sols, stats), matvecs, starts = traced_solve(
+            monkeypatch, fam, 0, 5, 1e-10, prec_factory=Exact)
         assert stats.n_prec_setups == 2
         assert stats.iterations[1] > 50
-        assert stats.n_matvec == 2 + sum(stats.iterations.values())
+        assert starts == 1
+        assert stats.n_matvec == matvecs
+        assert stats.n_matvec == 2 + starts + sum(stats.iterations.values())
         b = fam.rhs_scaled
         for x, sigma in zip(sols, fam.shifts_scaled):
             r = b - fam.apply_scaled(x) - sigma * x
