@@ -4,6 +4,13 @@ All matrices live on the interior degrees of freedom only (homogeneous
 Dirichlet values are eliminated, which keeps every operator symmetric
 positive definite).  Loads of P1/P0 data are integrated exactly; pointwise
 right-hand sides use a fixed degree-2 simplex rule.
+
+Stiffness and mass matrices are assembled together, once per mesh, in one
+pass over fixed-size chunks of cells, so that temporaries are bounded by the
+chunk rather than the mesh.  Cell gradients and volumes come in closed form
+from ``mesh._cell_geometry`` (no per-cell inverse or determinant).  Only the
+upper triangle is scattered, and mirroring it makes the matrices exactly
+symmetric.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh
+from .mesh import Mesh, _cell_chunks, _cell_geometry
 
 __all__ = [
     "NodalFunction",
@@ -101,44 +108,60 @@ def simplex_quadrature(dim: int, degree: int):
     return _QUADRATURE[key]
 
 
-def _gradients(mesh: Mesh) -> np.ndarray:
-    """Barycentric gradients, shape (n_cells, dim+1, dim)."""
-    v = mesh.vertices[mesh.cells]
-    edges = np.swapaxes(v[:, 1:, :] - v[:, :1, :], 1, 2)  # columns = edges
-    inv = np.linalg.inv(edges)
-    grads = np.empty((mesh.n_cells, mesh.dim + 1, mesh.dim))
-    grads[:, 1:, :] = inv          # grad of barycentric i = row i of B^{-1}
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return grads
+def _assemble_operators(mesh: Mesh):
+    """Stiffness and mass matrices in one chunked pass over the cells.
 
-
-def _assemble(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    """Scatter per-cell (d+1)x(d+1) blocks into the interior-dof matrix."""
-    d1 = mesh.dim + 1
-    dofs = mesh.dof_index[mesh.cells]                     # (nc, d1)
-    rows = np.repeat(dofs, d1, axis=1).ravel()
-    cols = np.tile(dofs, (1, d1)).ravel()
-    vals = local.reshape(mesh.n_cells, -1).ravel()
-    keep = (rows >= 0) & (cols >= 0)
+    Each chunk scatters the local pairs a <= b of its cells to the upper
+    triangle (row <= column), the stiffness entry as the real and the mass
+    entry as the imaginary part of one complex value, so that both share the
+    index work and one COO->CSR conversion; the chunk's CSR is added to the
+    running upper triangle U.  The result is mirrored as U + U^T - diag(U),
+    which is exactly symmetric.
+    """
     n = mesh.n_interior
-    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                        shape=(n, n)).tocsr()
-    return (mat + mat.T) * 0.5                            # exact symmetry
+    d1 = mesh.dim + 1
+    ia, ib = np.triu_indices(d1)
+    mass_ref = np.where(ia == ib, 2.0, 1.0)[:, None] / (d1 * (d1 + 1))
+    idx = np.int32 if mesh.n_vertices <= np.iinfo(np.int32).max else np.int64
+    dof = mesh.dof_index.astype(idx)
+    upper = sp.csr_matrix((n, n), dtype=complex)
+    for chunk in _cell_chunks(mesh.n_cells):
+        cells = mesh.cells[chunk]
+        grads, vol = _cell_geometry(mesh.vertices, cells)
+        vol = np.abs(vol)
+        local = np.empty((ia.size, vol.size), dtype=complex)
+        for p, (a, b) in enumerate(zip(ia, ib)):
+            local.real[p] = np.einsum("dc,dc->c", grads[a], grads[b]) * vol
+        local.imag = mass_ref * vol
+        ends = dof[cells.T]
+        rows = np.minimum(ends[ia], ends[ib]).T
+        cols = np.maximum(ends[ia], ends[ib]).T
+        keep = rows >= 0                       # both ends interior
+        # cell-major entry order keeps the CSR conversion's writes local
+        upper = upper + sp.csr_matrix(
+            (local.T[keep], (rows[keep], cols[keep])), shape=(n, n))
+    # each non-empty row of U starts with its diagonal: halving it turns
+    # U + U^T into U + U^T - diag(U)
+    starts = upper.indptr[:-1][np.diff(upper.indptr) > 0]
+    upper.data[starts] *= 0.5
+    full = upper + upper.T.tocsr()
+    del upper
+    A = sp.csr_matrix((full.data.real.copy(), full.indices.copy(),
+                       full.indptr.copy()), shape=(n, n))
+    A.eliminate_zeros()                        # couplings that cancel exactly
+    M = sp.csr_matrix((full.data.imag.copy(), full.indices, full.indptr),
+                      shape=(n, n))
+    return A, M
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Stiffness matrix of the Dirichlet Laplacian on interior dofs."""
-    grads = _gradients(mesh)
-    local = np.einsum("c,cid,cjd->cij", mesh.volumes, grads, grads)
-    return _assemble(mesh, local)
+    return operators(mesh).stiffness.copy()
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix on interior dofs (exact integration)."""
-    d1 = mesh.dim + 1
-    ref = (np.ones((d1, d1)) + np.eye(d1)) / (d1 * (d1 + 1))
-    local = mesh.volumes[:, None, None] * ref[None, :, :]
-    return _assemble(mesh, local)
+    return operators(mesh).mass.copy()
 
 
 def lump_mass(M: sp.spmatrix) -> np.ndarray:
@@ -162,8 +185,7 @@ def operators(mesh: Mesh) -> Operators:
     """Assembled (A, M, lumped M) for a mesh, cached per mesh object."""
     ops = _op_cache.get(mesh)
     if ops is None:
-        A = assemble_stiffness(mesh)
-        M = assemble_mass(mesh)
+        A, M = _assemble_operators(mesh)
         ops = Operators(A, M, lump_mass(M))
         _op_cache[mesh] = ops
     return ops

@@ -97,22 +97,71 @@ def _finish_mesh(dim: int, m: int, vertices: np.ndarray, cells: np.ndarray,
     dof_index = np.full(vertices.shape[0], -1, dtype=np.int64)
     dof_index[interior] = np.arange(interior.size)
     volumes = _signed_volumes(vertices, cells)
-    if np.any(volumes <= 0):
-        raise ValueError("mesh has non-positive cell volumes")
+    bad = np.flatnonzero(~(volumes > 0))
+    if bad.size:
+        raise ValueError(f"cell {bad[0]} has non-positive volume")
     h = float(np.sqrt(dim) / m)
     return Mesh(dim=dim, cells_per_side=m, vertices=vertices, cells=cells,
                 boundary=boundary, interior=interior, dof_index=dof_index,
                 volumes=volumes, h=h, level=level)
 
 
-def _signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    edges = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
-    dim = vertices.shape[1]
+# Cells per chunk of the closed-form geometry loops (volumes here, operator
+# assembly in ``fem``): bounds their temporaries to a few dozen MiB whatever
+# the mesh size.  A chunk boundary regroups the sums of the entries it
+# splits (last-bit changes); 2^17 keeps 2D meshes up to level 8 in one chunk.
+_CHUNK_CELLS = 1 << 17
+
+
+def _cell_chunks(n_cells: int):
+    """Consecutive slices of at most ``_CHUNK_CELLS`` cells."""
+    step = _CHUNK_CELLS
+    return (slice(i, min(i + step, n_cells)) for i in range(0, n_cells, step))
+
+
+def _cell_geometry(vertices: np.ndarray, cells: np.ndarray,
+                   gradients: bool = True):
+    """Barycentric gradients and signed volumes of ``cells``, in closed form.
+
+    With edges ``e_k = v_k - v_0`` the gradient of barycentric coordinate
+    k >= 1 is the normal of the opposite edges over ``det = d! |T|``: the
+    rotated edge in 2D, the cross product ``e_{k+1} x e_{k+2}`` (indices
+    cyclic in 1..3) in 3D; ``grad lambda_0`` is minus their sum.  Returns the
+    gradients with the cell index last, shape (dim+1, dim, n), or None when
+    ``gradients`` is false (the determinant needs one normal only), and the
+    signed volumes (positive for counterclockwise / right-handed vertex
+    order).
+    """
+    n, dim = cells.shape[0], vertices.shape[1]
+    x = vertices.take(cells.T, axis=0).transpose(2, 0, 1)   # (dim, dim+1, n)
+    e = np.empty((dim, dim, n))               # e[i, k]: component i of edge k
+    np.subtract(x[:, 1:], x[:, :1], out=e)
+    normals = np.empty((dim, dim, n))
     if dim == 2:
-        det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-        return det / 2.0
-    det = np.linalg.det(edges)
-    return det / 6.0
+        normals[0] = e[1, 1], -e[0, 1]
+        normals[1] = -e[1, 0], e[0, 0]
+    else:
+        for k in range(3 if gradients else 1):    # e_{k+1} x e_{k+2}
+            a, b = e[:, (k + 1) % 3], e[:, (k + 2) % 3]
+            for i in range(3):
+                j, l = (i + 1) % 3, (i + 2) % 3
+                np.subtract(a[j] * b[l], a[l] * b[j], out=normals[k, i])
+    det = (e[:, 0] * normals[0]).sum(axis=0)
+    volumes = det / (2.0 if dim == 2 else 6.0)
+    if not gradients:
+        return None, volumes
+    grads = np.empty((dim + 1, dim, n))
+    np.divide(normals, det, out=grads[1:])
+    np.negative(grads[1:].sum(axis=0), out=grads[0])
+    return grads, volumes
+
+
+def _signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    volumes = np.empty(cells.shape[0])
+    for chunk in _cell_chunks(cells.shape[0]):
+        volumes[chunk] = _cell_geometry(vertices, cells[chunk],
+                                        gradients=False)[1]
+    return volumes
 
 
 def unit_square_mesh(cells_per_side: int, level: int = 0) -> Mesh:
@@ -147,23 +196,24 @@ def unit_cube_mesh(cells_per_side: int, level: int = 0) -> Mesh:
     vertices = _grid_vertices(m, 3)
 
     strides = np.array([(m + 1) ** 2, m + 1, 1], dtype=np.int64)
-    i, j, k = np.meshgrid(*[np.arange(m)] * 3, indexing="ij")
-    corner = np.stack([i.ravel(), j.ravel(), k.ravel()], axis=1)
-    n_cubes = corner.shape[0]
-    cells = np.empty((6 * n_cubes, 4), dtype=np.int64)
+    # vertex id of every cube's lowest corner, lexicographic over the cubes
+    corner = (np.arange(m) * strides[0])[:, None, None] \
+        + (np.arange(m) * strides[1])[None, :, None] + np.arange(m)
+    n_cubes = m ** 3
+    cells = np.empty((n_cubes, 6, 4), dtype=np.int64)
     eye = np.eye(3, dtype=np.int64)
     for p_idx, perm in enumerate(_PERMS_3D):
         path = np.zeros((4, 3), dtype=np.int64)
         for step, axis in enumerate(perm):
             path[step + 1] = path[step] + eye[axis]
-        verts = corner[:, None, :] + path[None, :, :]   # (n_cubes, 4, 3)
-        tet = verts @ strides
+        offsets = path @ strides
         # odd permutations give negative orientation; swap two vertices
         sign = (-1) ** sum(perm[a] > perm[b]
                            for a in range(3) for b in range(a + 1, 3))
         if sign < 0:
-            tet = tet[:, [0, 1, 3, 2]]
-        cells[p_idx::6] = tet
+            offsets = offsets[[0, 1, 3, 2]]
+        cells[:, p_idx] = corner.reshape(-1, 1) + offsets
+    cells = cells.reshape(6 * n_cubes, 4)
     return _finish_mesh(3, m, vertices, cells, level)
 
 
@@ -262,12 +312,14 @@ def cell_parents(coarse: Mesh, fine: Mesh) -> np.ndarray:
 
 
 def _barycentric(mesh: Mesh, cells: np.ndarray, points: np.ndarray):
-    v = mesh.vertices[mesh.cells[cells]]
-    edges = np.swapaxes(v[:, 1:, :] - v[:, :1, :], 1, 2)
-    rhs = (points - v[:, 0, :])[:, :, None]
-    lam_rest = np.linalg.solve(edges, rhs)[:, :, 0]
-    lam0 = 1.0 - lam_rest.sum(axis=1)
-    return np.concatenate([lam0[:, None], lam_rest], axis=1)
+    """lambda_k = grad lambda_k . (x - v_0) for k >= 1, lambda_0 = 1 - rest."""
+    vc = mesh.cells[cells]
+    grads = _cell_geometry(mesh.vertices, vc)[0]
+    offset = (points - mesh.vertices[vc[:, 0]]).T     # (dim, n)
+    lam = np.empty((cells.shape[0], mesh.dim + 1))
+    lam[:, 1:] = (grads[1:] * offset).sum(axis=1).T
+    lam[:, 0] = 1.0 - lam[:, 1:].sum(axis=1)
+    return lam
 
 
 def eval_p1(mesh: Mesh, vertex_values: np.ndarray,
@@ -329,7 +381,14 @@ def read_mesh(path) -> Mesh:
     dof_index[interior] = np.arange(interior.size)
     volumes = _signed_volumes(vertices, cells)
     edges = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
-    h = float(np.sqrt((edges ** 2).sum(axis=2)).max())
+    lengths = np.sqrt((edges ** 2).sum(axis=2))
+    # |det| is at most the product of the edge lengths (Hadamard); a cell
+    # whose ratio is at rounding level has no usable gradients
+    det = np.abs(volumes) * (2 if dim == 2 else 6)
+    bad = np.flatnonzero(~(det > 1e-12 * lengths.prod(axis=1)))
+    if bad.size:
+        raise ValueError(f"cell {bad[0]} is degenerate (zero volume)")
+    h = float(lengths.max())
     return Mesh(dim=dim, cells_per_side=None, vertices=vertices, cells=cells,
                 boundary=boundary, interior=interior, dof_index=dof_index,
                 volumes=np.abs(volumes), h=h, level=0)

@@ -1,12 +1,19 @@
 """Assembly, loads, the piecewise-constant projection, and norms."""
 
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import fraclap.mesh
 from fraclap import (CellwiseFunction, NodalFunction, assemble_load,
                      assemble_mass, assemble_stiffness, h1_seminorm,
                      interpolate, l2_inner, l2_norm, lump_mass, project_p0,
-                     refine_uniform, unit_cube_mesh, unit_square_mesh)
+                     read_mesh, refine_uniform, unit_cube_mesh,
+                     unit_square_mesh, write_mesh)
 from fraclap.fem import operators, simplex_quadrature
 
 
@@ -42,6 +49,106 @@ class TestStiffness:
         assert row[inner[0]] == pytest.approx(4.0)
         vals = sorted(np.round(row[row != 0], 12))
         assert vals == [-1.0, -1.0, -1.0, -1.0, 4.0]
+
+
+def reference_operators(mesh):
+    """Per-cell inverse-Jacobian gradients and determinant volumes,
+    scattered block by block into dense matrices.  Also returns the sums of
+    the contributions' magnitudes, the scale of each entry's rounding."""
+    d1 = mesh.dim + 1
+    n = mesh.n_interior
+    A, A_scale, M = np.zeros((3, n, n))
+    ref = (np.ones((d1, d1)) + np.eye(d1)) / (d1 * (d1 + 1))
+    for cell in mesh.cells:
+        edges = (mesh.vertices[cell[1:]] - mesh.vertices[cell[0]]).T
+        grads = np.empty((d1, mesh.dim))
+        grads[1:] = np.linalg.inv(edges)
+        grads[0] = -grads[1:].sum(axis=0)
+        vol = abs(np.linalg.det(edges)) / math.factorial(mesh.dim)
+        dofs = mesh.dof_index[cell]
+        keep = dofs >= 0
+        block, local = np.ix_(dofs[keep], dofs[keep]), np.ix_(keep, keep)
+        A[block] += (vol * grads @ grads.T)[local]
+        A_scale[block] += np.abs(vol * grads @ grads.T)[local]
+        M[block] += (vol * ref)[local]
+    return A, A_scale, M
+
+
+def perturbed_mesh(grid, tmp_path):
+    """``grid`` with jittered interior vertices and every third cell listed
+    in negative orientation, read back as an unstructured mesh."""
+    rng = np.random.default_rng(7)
+    vertices = grid.vertices.copy()
+    vertices[grid.interior] += 0.15 * grid.h * rng.uniform(
+        -1.0, 1.0, (grid.n_interior, grid.dim))
+    cells = grid.cells.copy()
+    cells[::3, [0, 1]] = cells[::3, [1, 0]]
+    path = tmp_path / "perturbed.txt"
+    write_mesh(dataclasses.replace(grid, vertices=vertices, cells=cells), path)
+    mesh = read_mesh(path)
+    assert mesh.cells_per_side is None
+    return mesh
+
+
+def assert_matches_dense(S, dense, scale):
+    """Same pattern as ``dense``'s nonzeros, every entry within 1e-14 times
+    ``scale`` (an entry that cancels to a small fraction of its terms keeps
+    the terms' rounding)."""
+    ref = sp.csr_matrix(dense)
+    np.testing.assert_array_equal(S.indptr, ref.indptr)
+    np.testing.assert_array_equal(S.indices, ref.indices)
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    assert np.all(np.abs(S.data - ref.data)
+                  <= 1e-14 * scale[rows, S.indices])
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("build", [lambda tmp: unit_square_mesh(8),
+                                       lambda tmp: unit_cube_mesh(4),
+                                       lambda tmp: perturbed_mesh(
+                                           unit_square_mesh(8), tmp),
+                                       lambda tmp: perturbed_mesh(
+                                           unit_cube_mesh(3), tmp)],
+                             ids=["square", "cube", "perturbed-2d",
+                                  "perturbed-3d"])
+    def test_matches_per_cell_reference(self, build, tmp_path):
+        mesh = build(tmp_path)
+        A_ref, A_scale, M_ref = reference_operators(mesh)
+        ops = operators(mesh)
+        assert_matches_dense(ops.stiffness, A_ref, A_scale)
+        assert_matches_dense(ops.mass, M_ref, M_ref)
+        np.testing.assert_allclose(ops.lumped_mass, M_ref.sum(axis=1),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("maker, m", [(unit_square_mesh, 8),
+                                          (unit_cube_mesh, 4)])
+    def test_chunk_size_does_not_matter(self, monkeypatch, maker, m):
+        base = operators(maker(m))
+        n_cells = maker(m).n_cells
+        for chunk in (1, 7, n_cells):
+            monkeypatch.setattr(fraclap.mesh, "_CHUNK_CELLS", chunk)
+            ops = operators(maker(m))
+            for S, S0 in ((ops.stiffness, base.stiffness),
+                          (ops.mass, base.mass)):
+                np.testing.assert_array_equal(S.indptr, S0.indptr)
+                np.testing.assert_array_equal(S.indices, S0.indices)
+                np.testing.assert_allclose(S.data, S0.data, rtol=1e-14)
+                assert (S != S.T).nnz == 0
+
+    def test_peak_memory_bounded_by_output(self, monkeypatch):
+        # temporaries scale with the chunk, not with the mesh
+        monkeypatch.setattr(fraclap.mesh, "_CHUNK_CELLS", 4096)
+        mesh = unit_cube_mesh(32)
+        tracemalloc.start()
+        try:
+            ops = operators(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = ops.lumped_mass.nbytes + sum(
+            S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
+            for S in (ops.stiffness, ops.mass))
+        assert peak <= 4 * out
 
 
 class TestMass:

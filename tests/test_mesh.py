@@ -190,6 +190,15 @@ class TestMeshIO:
         assert mesh.n_cells == 2
         assert mesh.volumes.sum() == pytest.approx(1.0)
 
+    def test_degenerate_cell_rejected(self, tmp_path):
+        # cell 2 has collinear vertices: reported by index, not as NaN
+        # matrices later on
+        path = tmp_path / "flat.txt"
+        path.write_text("2 5 3\n0 0\n1 0\n0 1\n1 1\n0.5 0.5\n"
+                        "0 1 3\n0 3 2\n0 4 3\n")
+        with pytest.raises(ValueError, match="cell 2 "):
+            read_mesh(path)
+
     def test_header_line(self, tmp_path):
         mesh = unit_cube_mesh(2)
         path = tmp_path / "mesh3.txt"
