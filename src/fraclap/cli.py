@@ -48,6 +48,16 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+def _parse_bool(key: str, text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"config key {key} must be one of 1/true/yes/on or "
+                     f"0/false/no/off, not {text!r}")
+
+
 _COMMON = {
     "dim": (int, 2),
     "s": (_parse_s_list, None),          # per-command default below
@@ -107,8 +117,7 @@ def _resolve(args: argparse.Namespace, command: str, names) -> dict:
         if raw is None:
             value = _DEFAULTS[command].get(name, default)
         elif parse is bool:
-            value = raw if isinstance(raw, bool) else \
-                str(raw).lower() in ("1", "true", "yes", "on")
+            value = raw if isinstance(raw, bool) else _parse_bool(name, raw)
         else:
             value = parse(raw) if isinstance(raw, str) else raw
         out[name] = value
@@ -150,6 +159,10 @@ def _dump_vector(out_dir: str, name: str, values: np.ndarray):
 
 
 def _cmd_solve(vals: dict) -> int:
+    if len(vals["s"]) != 1:
+        raise ValueError("solve takes a single value of --s")
+    if vals["post_process"] and vals["mode"] != ctl.FULLY_DISCRETE:
+        raise ValueError("--post-process needs --mode p0")
     out_dir = vals["out"] or "fraclap-out"
     os.makedirs(out_dir, exist_ok=True)
     m = 2 ** vals["level"]
@@ -181,7 +194,7 @@ def _cmd_solve(vals: dict) -> int:
         _dump_vector(out_dir, "control_z.txt", sol.control.values)
         _dump_vector(out_dir, "state_u.txt", sol.state.values)
         _dump_vector(out_dir, "adjoint_p.txt", sol.adjoint.values)
-        if vals["post_process"] and vals["mode"] == ctl.FULLY_DISCRETE:
+        if vals["post_process"]:
             zpp = ctl.post_process(problem, sol)
             _dump_vector(out_dir, "postprocessed_z.txt", zpp.values)
         summary.update({

@@ -9,14 +9,13 @@ discretizations are supported:
   meshed.  The solver is a projected gradient iteration whose fixed points
   are exactly that formula.
 * ``p0``: the control is piecewise constant with cellwise bounds; the
-  gradient representative in the P0 inner product is Q_h p + mu z, and
-  either a projected gradient loop or L-BFGS-B can drive the minimization.
+  gradient representative in the P0 inner product is Q_h p + mu z.
 
-Both solvers run a projected gradient phase with spectral (Barzilai-Borwein)
-trial steps and an Armijo backtracking line search, so the objective is
-non-increasing across accepted iterates; once objective differences sink
-below the noise of the inner solves, an active-set polish finishes the
-optimality system directly.
+One optimizer serves both modes: a projected gradient phase with spectral
+(Barzilai-Borwein) trial steps and an Armijo backtracking line search, so
+the objective is non-increasing across accepted iterates; once objective
+differences sink below the noise of the inner solves, an active-set polish
+finishes the optimality system directly.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import fem
 from .fem import CellwiseFunction, NodalFunction
@@ -99,23 +99,25 @@ def project_box(values, lower: float, upper: float):
 
 
 class _Reduced:
-    """Reduced-functional evaluations with shared solver statistics."""
+    """Reduced-functional evaluations; every fractional solve goes through
+    ``solve``, which sums its statistics into ``stats``."""
 
     def __init__(self, problem: ControlProblem):
         self.problem = problem
         self.mesh = problem.mesh
         self.ops = fem.operators(problem.mesh)
-        self.options = problem.options
         self.stats = SolveStats()
-        self.n_solves = 0
 
-    def _accumulate(self, stats: SolveStats):
+    def solve(self, rhs) -> NodalFunction:
+        """S applied to ``rhs`` (a P1 or P0 function)."""
+        res = fractional_solve(self.mesh, self.problem.s, rhs,
+                               self.problem.options)
         agg = self.stats
-        agg.n_alg1 += stats.n_alg1
-        agg.n_alg2 += stats.n_alg2
-        agg.n_prec_setups += stats.n_prec_setups
-        agg.n_matvec += stats.n_matvec
-        self.n_solves += 1
+        agg.n_alg1 += res.stats.n_alg1
+        agg.n_alg2 += res.stats.n_alg2
+        agg.n_prec_setups += res.stats.n_prec_setups
+        agg.n_matvec += res.stats.n_matvec
+        return res.u
 
     def _wrap(self, values: np.ndarray):
         if self.problem.mode == VARIATIONAL:
@@ -123,20 +125,17 @@ class _Reduced:
         return CellwiseFunction(self.mesh, values)
 
     def state(self, z_values: np.ndarray) -> NodalFunction:
-        res = fractional_solve(self.mesh, self.problem.s,
-                               self._wrap(z_values), self.options)
-        self._accumulate(res.stats)
-        return res.u
+        return self.solve(self._wrap(z_values))
 
     def adjoint(self, u: NodalFunction) -> NodalFunction:
-        return self.apply_solution_operator(NodalFunction(
+        return self.solve(NodalFunction(
             self.mesh, u.values - self.problem.desired.values))
 
-    def apply_solution_operator(self, u: NodalFunction) -> NodalFunction:
-        """Plain S applied to a P1 function (no desired-state shift)."""
-        res = fractional_solve(self.mesh, self.problem.s, u, self.options)
-        self._accumulate(res.stats)
-        return res.u
+    def evaluate(self, z_values: np.ndarray):
+        """``(u, p, g)``: state, adjoint and gradient values at ``z``."""
+        u = self.state(z_values)
+        p = self.adjoint(u)
+        return u, p, self.gradient_values(z_values, p)
 
     def value(self, z_values: np.ndarray, u: NodalFunction) -> float:
         diff = NodalFunction(self.mesh,
@@ -171,9 +170,8 @@ def reduced_gradient(problem: ControlProblem, z):
     """L2-Riesz representative of dJ at z in the mode's control space."""
     red = _Reduced(problem)
     z_values = z.values if hasattr(z, "values") else np.asarray(z, dtype=float)
-    u = red.state(z_values)
-    p = red.adjoint(u)
-    return red._wrap(red.gradient_values(z_values, p))
+    _, _, g = red.evaluate(z_values)
+    return red._wrap(g)
 
 
 def _stationarity(z, g, lower, upper) -> float:
@@ -181,8 +179,8 @@ def _stationarity(z, g, lower, upper) -> float:
     return float(np.linalg.norm(z - np.clip(z - g, lower, upper)))
 
 
-def _projected_descent(problem: ControlProblem, red: _Reduced, tol: float,
-                       z0: np.ndarray | None):
+def _solve(problem: ControlProblem, tol: float,
+           z0: np.ndarray | None) -> ControlSolution:
     """Two-phase solve of the box-constrained optimality system.
 
     Phase one is a projected gradient method with spectral trial steps and
@@ -194,17 +192,16 @@ def _projected_descent(problem: ControlProblem, red: _Reduced, tol: float,
     stationarity system mu*z + g_state = 0 directly (a Krylov solve of the
     reduced operator), which drives the residual to the threshold.
     """
+    red = _Reduced(problem)
     mesh = problem.mesh
-    lo, up = problem.lower, problem.upper
+    lo, up, mu = problem.lower, problem.upper, problem.mu
     n = mesh.n_interior if problem.mode == VARIATIONAL else mesh.n_cells
     z = np.clip(z0.copy() if z0 is not None else np.zeros(n), lo, up)
 
-    u = red.state(z)
-    p = red.adjoint(u)
-    g = red.gradient_values(z, p)
+    u, p, g = red.evaluate(z)
     J = red.value(z, u)
     threshold = tol * math.sqrt(mesh.h ** mesh.dim)
-    step = 1.0 / (problem.mu + 1.0)
+    step = 1.0 / (mu + 1.0)
     armijo = 1e-4
     objective_history = [J]
     residual_history = []
@@ -229,6 +226,7 @@ def _projected_descent(problem: ControlProblem, red: _Reduced, tol: float,
             if res > 0.8 * max(res_window[:3]):
                 break
 
+        # the adjoint is solved only once a trial step is accepted
         t = step
         accepted = False
         for _ in range(20):
@@ -251,34 +249,16 @@ def _projected_descent(problem: ControlProblem, red: _Reduced, tol: float,
         dg = g_trial - g
         num = red.pairing(dz, dz)
         den = red.pairing(dg, dz)
-        step = num / den if den > 0 else 1.0 / (problem.mu + 1.0)
+        step = num / den if den > 0 else 1.0 / (mu + 1.0)
         step = min(max(step, 1e-8), 1e8)
         z, u, p, g, J = z_trial, u_trial, p_trial, g_trial, J_trial
         objective_history.append(J)
         it += 1
 
-    return _active_set_polish(problem, red, z, threshold, it,
-                              objective_history, residual_history)
-
-
-def _active_set_polish(problem: ControlProblem, red: _Reduced, z: np.ndarray,
-                       threshold: float, it0: int, objective_history,
-                       residual_history) -> ControlSolution:
-    """Semismooth polish: freeze the active set predicted by the projection
-    formula and solve the free-component stationarity system
-    mu*z_F + g_state(z)_F = 0 with GMRES (matvec = two fractional solves)."""
-    from scipy.sparse.linalg import LinearOperator, gmres
-
-    lo, up = problem.lower, problem.upper
-    mu = problem.mu
-    iterations = [it0]
-
-    def state_gradient(zv):
-        u = red.state(zv)
-        p = red.adjoint(u)
-        return u, p, red.gradient_values(zv, p)
-
-    u, p, g = state_gradient(z)
+    # Semismooth polish: freeze the active set predicted by the projection
+    # formula and solve the free-component stationarity system
+    # mu*z_F + g_state(z)_F = 0 with GMRES (matvec = two fractional solves).
+    u, p, g = red.evaluate(z)
     res = _stationarity(z, g, lo, up)
     for _ in range(12):
         residual_history.append(res)
@@ -293,17 +273,16 @@ def _active_set_polish(problem: ControlProblem, red: _Reduced, z: np.ndarray,
             nf = int(free.sum())
 
             def matvec(v_free):
+                nonlocal it
                 v = np.zeros_like(z_new)
                 v[free] = v_free
-                sv = red.state(v)
-                ssv = red.apply_solution_operator(sv)
-                gv = red.gradient_values(v, ssv)
-                iterations[0] += 1
+                gv = red.gradient_values(v, red.solve(red.state(v)))
+                it += 1
                 return mu * v_free + (gv - mu * v)[free]
 
             z_fix = z_new.copy()
             z_fix[free] = 0.0
-            _, _, g_fix = state_gradient(z_fix)
+            _, _, g_fix = red.evaluate(z_fix)
             rhs = -g_fix[free]
             op = LinearOperator((nf, nf), matvec=matvec)
             rhs_norm = float(np.linalg.norm(rhs))
@@ -312,9 +291,9 @@ def _active_set_polish(problem: ControlProblem, red: _Reduced, z: np.ndarray,
                             rtol=0.0, restart=60, maxiter=3)
             z_new[free] = x
         z = np.clip(z_new, lo, up)
-        u, p, g = state_gradient(z)
+        u, p, g = red.evaluate(z)
         res = _stationarity(z, g, lo, up)
-        iterations[0] += 1
+        it += 1
     else:
         residual_history.append(res)
         if res > threshold:
@@ -325,7 +304,7 @@ def _active_set_polish(problem: ControlProblem, red: _Reduced, z: np.ndarray,
 
     return ControlSolution(
         control=red._wrap(z), state=u, adjoint=p, objective=red.value(z, u),
-        iterations=iterations[0], residual=res, stats=red.stats,
+        iterations=it, residual=res, stats=red.stats,
         mode=problem.mode, objective_history=objective_history,
         residual_history=residual_history)
 
@@ -339,77 +318,19 @@ def solve_variational(problem: ControlProblem, tol: float = 1e-5,
     """
     if problem.mode != VARIATIONAL:
         raise ValueError("problem mode must be 'variational'")
-    return _projected_descent(problem, _Reduced(problem), tol, z0)
+    return _solve(problem, tol, z0)
 
 
 def solve_fully_discrete(problem: ControlProblem, tol: float = 1e-5,
-                         z0: np.ndarray | None = None,
-                         method: str = "projected_gradient") -> ControlSolution:
+                         z0: np.ndarray | None = None) -> ControlSolution:
     """Piecewise-constant control solve with cellwise box constraints.
 
-    ``method`` may be "projected_gradient" (default) or "lbfgsb", which
-    drives scipy's bound-constrained quasi-Newton method until the same
-    stationarity measure meets the tolerance (falling back to the projected
-    gradient loop if L-BFGS-B stops before that).
+    At convergence the control equals clamp(-Q_h p / mu) on every cell up to
+    the stationarity tolerance, Q_h being the L2 projection onto P0.
     """
     if problem.mode != FULLY_DISCRETE:
         raise ValueError("problem mode must be 'p0'")
-    red = _Reduced(problem)
-    if method == "projected_gradient":
-        return _projected_descent(problem, red, tol, z0)
-    if method != "lbfgsb":
-        raise ValueError(f"unknown method {method!r}")
-
-    from scipy.optimize import minimize
-
-    mesh = problem.mesh
-    vols = mesh.volumes
-    last = {}
-
-    def fun(z):
-        u = red.state(z)
-        p = red.adjoint(u)
-        g = red.gradient_values(z, p)
-        last.update(z=z.copy(), u=u, p=p, J=red.value(z, u), g=g)
-        return last["J"], vols * g
-
-    objective_history, residual_history = [], []
-    threshold = tol * math.sqrt(mesh.h ** mesh.dim)
-
-    def record(xk):
-        # L-BFGS-B reports an iterate only after evaluating it, so the last
-        # evaluation is the accepted iterate's
-        res = _stationarity(last["z"], last["g"], problem.lower,
-                            problem.upper)
-        objective_history.append(last["J"])
-        residual_history.append(res)
-        # stop on the stationarity measure: scipy's own ftol / gtol would
-        # go on deciding below the accuracy of the inner solves
-        if res <= threshold:
-            raise StopIteration
-
-    z_init = np.clip(z0 if z0 is not None else np.zeros(mesh.n_cells),
-                     problem.lower, problem.upper)
-    out = minimize(fun, z_init, jac=True, method="L-BFGS-B",
-                   bounds=[(problem.lower, problem.upper)] * mesh.n_cells,
-                   callback=record,
-                   options={"maxiter": problem.max_iterations,
-                            "ftol": 1e-16, "gtol": 1e-14})
-    z = np.clip(out.x, problem.lower, problem.upper)
-    if np.array_equal(z, last["z"]):
-        u, p, g = last["u"], last["p"], last["g"]
-    else:
-        u = red.state(z)
-        p = red.adjoint(u)
-        g = red.gradient_values(z, p)
-    res = _stationarity(z, g, problem.lower, problem.upper)
-    if res > threshold:
-        return _projected_descent(problem, red, tol, z)
-    return ControlSolution(control=red._wrap(z), state=u, adjoint=p,
-                           objective=red.value(z, u), iterations=out.nit,
-                           residual=res, stats=red.stats, mode=problem.mode,
-                           objective_history=objective_history,
-                           residual_history=residual_history)
+    return _solve(problem, tol, z0)
 
 
 def post_process(problem: ControlProblem,

@@ -89,19 +89,18 @@ class SolveOptions:
     """Configuration of a fractional solve.
 
     ``n_max`` defaults to 500 in 2D and 250 in 3D; individual systems are
-    solved to a relative residual of ``rtol``; the sequential solver rebuilds
-    its preconditioner once more than ``iter_cap`` iterations were needed.
-    ``k`` overrides the mesh-coupled quadrature step (used by convergence
-    studies that sweep the quadrature alone).  The preconditioner follows
-    the mesh: geometric multigrid on the structured unit-square/cube meshes,
-    IC(0) on any other mesh.
+    solved to a relative residual of ``rtol``.  ``k`` overrides the
+    mesh-coupled quadrature step (used by convergence studies that sweep the
+    quadrature alone).  The preconditioner follows the mesh: geometric
+    multigrid on the structured unit-square/cube meshes, IC(0) on any other
+    mesh; the sequential solver rebuilds it after a system that needed more
+    than ``solve_family``'s default ``iter_cap`` of 20 iterations.
     """
 
     c_k: float = 1.1
     k: float | None = None
     rtol: float = 1e-8
     n_max: int | None = None
-    iter_cap: int = 20
 
     def resolved_n_max(self, dim: int) -> int:
         if self.n_max is not None:
@@ -138,16 +137,15 @@ def _solve_quadrature(mesh: Mesh, s: float, rhs, options: SolveOptions | None,
     """``(values, stats, quad)`` of the shifted family the quadrature for
     ``s`` defines: the weighted combination, or one row per node."""
     options = options or SolveOptions()
-    k = options.k if options.k is not None else \
-        options.c_k / math.log(2.0 / mesh.h)
-    quad = sinc_quadrature(s, k)
+    quad = sinc_quadrature(s, options.k) if options.k is not None else \
+        quadrature_for_mesh(s, mesh.h, options.c_k)
     Z = _as_load(mesh, rhs)
     ops = fem.operators(mesh)
     values, stats = solve_family(
         ops.stiffness, ops.lumped_mass, quad.shifts, Z,
         labels=quad.l, weights=quad.weights if weighted else None,
         rtol=options.rtol, n_max=options.resolved_n_max(mesh.dim),
-        iter_cap=options.iter_cap, prec_factory=_prec_factory(mesh))
+        prec_factory=_prec_factory(mesh))
     return values, stats, quad
 
 

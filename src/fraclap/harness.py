@@ -303,11 +303,6 @@ def run_solver_stats(config: ExperimentConfig) -> str:
     return text
 
 
-def _p1_at_quadrature(mesh: Mesh, full_values: np.ndarray, lam: np.ndarray):
-    """Values of a P1 function at the quadrature points of every cell."""
-    return full_values[mesh.cells] @ lam.T        # (n_cells, n_quad)
-
-
 def _quad_l2(mesh: Mesh, w: np.ndarray, diff_at_quad: np.ndarray) -> float:
     return math.sqrt(float(mesh.volumes @ ((diff_at_quad ** 2) @ w)))
 
@@ -371,12 +366,16 @@ def run_control_convergence(config: ExperimentConfig) -> dict:
     ref_ops = fem.operators(ref_mesh)
     lam, w = fem.simplex_quadrature(config.dim, degree=4)
 
+    def clamped_at_quadrature(p_ref_values):
+        """clamp(-p/mu) at the reference quadrature points of a P1 adjoint."""
+        full = NodalFunction(ref_mesh, p_ref_values).full_values()
+        return np.clip(-(full[ref_mesh.cells] @ lam.T) / config.mu,
+                       config.lower, config.upper)
+
     tables = {}
     for s in config.s_values:
         z_ref, u_ref, p_ref = _control_reference(config, s, meshes, lift)
-        p_ref_full = NodalFunction(ref_mesh, p_ref).full_values()
-        z_ref_quad = np.clip(-_p1_at_quadrature(ref_mesh, p_ref_full, lam)
-                             / config.mu, config.lower, config.upper)
+        z_ref_quad = clamped_at_quadrature(p_ref)
 
         series = {name: [] for name in
                   ("control_p0", "control_pp", "control_var",
@@ -403,20 +402,12 @@ def run_control_convergence(config: ExperimentConfig) -> dict:
             # function (prolongation of the P1 adjoint is exact; clamping at
             # the quadrature points avoids the kink-interpolation error that
             # would otherwise cap the measured rate near h^1.5)
-            p_p0_full = NodalFunction(
-                ref_mesh,
-                lift.lift(p0_sol.adjoint.values, m, m_ref)).full_values()
-            zpp_quad = np.clip(
-                -_p1_at_quadrature(ref_mesh, p_p0_full, lam) / config.mu,
-                config.lower, config.upper)
+            zpp_quad = clamped_at_quadrature(
+                lift.lift(p0_sol.adjoint.values, m, m_ref))
             err_pp = _quad_l2(ref_mesh, w, z_ref_quad - zpp_quad)
 
-            p_var_full = NodalFunction(
-                ref_mesh,
-                lift.lift(var_sol.adjoint.values, m, m_ref)).full_values()
-            z_var_quad = np.clip(
-                -_p1_at_quadrature(ref_mesh, p_var_full, lam) / config.mu,
-                config.lower, config.upper)
+            z_var_quad = clamped_at_quadrature(
+                lift.lift(var_sol.adjoint.values, m, m_ref))
             err_var = _quad_l2(ref_mesh, w, z_ref_quad - z_var_quad)
 
             du = u_ref - lift.lift(p0_sol.state.values, m, m_ref)

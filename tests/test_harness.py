@@ -288,6 +288,41 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--s", "0.1,0.9"], "--s"),
+        (["--post-process"], "--post-process"),
+        (["--post-process", "--mode", "variational"], "--post-process"),
+    ], ids=["two-s", "post-process-state", "post-process-variational"])
+    def test_solve_rejects_inputs_it_would_ignore(self, tmp_path, capsys,
+                                                  argv, flag):
+        out = tmp_path / "run"
+        code = main(["solve", "--level", "3", "--out", str(out)] + argv)
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word,written", [("TRUE", True), ("On", True),
+                                              ("no", False), ("0", False)])
+    def test_config_boolean_spellings(self, tmp_path, word, written):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"mode = p0\npost_process = {word}\n")
+        out = tmp_path / "run"
+        code = main(["solve", "--level", "3", "--tol", "1e-4",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        assert (out / "postprocessed_z.txt").exists() == written
+
+    @pytest.mark.parametrize("word", ["ture", "2", ""])
+    def test_config_rejects_non_boolean(self, tmp_path, capsys, word):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"mode = p0\npost_process = {word}\n")
+        out = tmp_path / "run"
+        code = main(["solve", "--level", "3", "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 1
+        assert "post_process" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_stats_subcommand(self, capsys):
         code = main(["solver-stats", "--s", "0.5", "--levels", "2,3"])
         assert code == 0
