@@ -48,14 +48,13 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _parse_bool(key: str, text: str) -> bool:
+def _parse_bool(text: str) -> bool:
     word = text.lower()
     if word in ("1", "true", "yes", "on"):
         return True
     if word in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"config key {key} must be one of 1/true/yes/on or "
-                     f"0/false/no/off, not {text!r}")
+    raise ValueError("expected one of 1/true/yes/on or 0/false/no/off")
 
 
 _COMMON = {
@@ -70,7 +69,7 @@ _COMMON = {
     "rtol": (float, 1e-8),
     "tol": (float, 1e-5),
     "mode": (str, None),
-    "post_process": (bool, False),
+    "post_process": (_parse_bool, False),
     "out": (str, None),
     "threads": (int, 1),
     "config": (str, None),
@@ -92,7 +91,7 @@ def _add_flags(parser: argparse.ArgumentParser, names):
     for name in names:
         parse, _ = _COMMON[name]
         flag = "--" + name.replace("_", "-")
-        if parse is bool:
+        if parse is _parse_bool:
             parser.add_argument(flag, action="store_const", const=True,
                                 default=None, dest=name)
         else:
@@ -116,10 +115,14 @@ def _resolve(args: argparse.Namespace, command: str, names) -> dict:
             raw = file_vals[name]
         if raw is None:
             value = _DEFAULTS[command].get(name, default)
-        elif parse is bool:
-            value = raw if isinstance(raw, bool) else _parse_bool(name, raw)
+        elif raw is True:               # a boolean flag
+            value = raw
         else:
-            value = parse(raw) if isinstance(raw, str) else raw
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise ValueError(f"{name} = {raw!r} does not parse: {exc}") \
+                    from None
         out[name] = value
     return out
 
@@ -154,28 +157,21 @@ def _cmd_solver_stats(vals: dict) -> int:
     return 0
 
 
-def _dump_vector(out_dir: str, name: str, values: np.ndarray):
-    np.savetxt(os.path.join(out_dir, name), values, fmt="%.17g")
-
-
 def _cmd_solve(vals: dict) -> int:
     if len(vals["s"]) != 1:
         raise ValueError("solve takes a single value of --s")
     if vals["post_process"] and vals["mode"] != ctl.FULLY_DISCRETE:
         raise ValueError("--post-process needs --mode p0")
-    out_dir = vals["out"] or "fraclap-out"
-    os.makedirs(out_dir, exist_ok=True)
     m = 2 ** vals["level"]
     mesh = unit_square_mesh(m) if vals["dim"] == 2 else unit_cube_mesh(m)
     s = vals["s"][0]
     options = SolveOptions(c_k=vals["ck"], rtol=vals["rtol"])
-    write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
     summary = {"dim": vals["dim"], "cells_per_side": m, "s": s,
                "n_vertices": mesh.n_vertices, "h": mesh.h}
 
     if vals["mode"] is None:
         res = fractional_solve(mesh, s, harness.hat_rhs(mesh), options)
-        _dump_vector(out_dir, "state_u.txt", res.u.values)
+        vectors = {"state_u.txt": res.u.values}
         summary.update({
             "kind": "state", "n_systems": res.quadrature.n_systems,
             "n_alg1": res.stats.n_alg1, "n_alg2": res.stats.n_alg2,
@@ -191,12 +187,12 @@ def _cmd_solve(vals: dict) -> int:
             sol = ctl.solve_variational(problem, tol=vals["tol"])
         else:
             sol = ctl.solve_fully_discrete(problem, tol=vals["tol"])
-        _dump_vector(out_dir, "control_z.txt", sol.control.values)
-        _dump_vector(out_dir, "state_u.txt", sol.state.values)
-        _dump_vector(out_dir, "adjoint_p.txt", sol.adjoint.values)
+        vectors = {"control_z.txt": sol.control.values,
+                   "state_u.txt": sol.state.values,
+                   "adjoint_p.txt": sol.adjoint.values}
         if vals["post_process"]:
-            zpp = ctl.post_process(problem, sol)
-            _dump_vector(out_dir, "postprocessed_z.txt", zpp.values)
+            vectors["postprocessed_z.txt"] = \
+                ctl.post_process(problem, sol).values
         summary.update({
             "kind": "control", "mode": vals["mode"],
             "objective": sol.objective, "iterations": sol.iterations,
@@ -205,6 +201,13 @@ def _cmd_solve(vals: dict) -> int:
             "n_matvec": sol.stats.n_matvec,
             "n_amg_setups": sol.stats.n_prec_setups,
         })
+    # written only once the solve has succeeded: a rejected input leaves
+    # no partial output behind
+    out_dir = vals["out"] or "fraclap-out"
+    os.makedirs(out_dir, exist_ok=True)
+    write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
+    for name, values in vectors.items():
+        np.savetxt(os.path.join(out_dir, name), values, fmt="%.17g")
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

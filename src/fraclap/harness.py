@@ -90,13 +90,6 @@ class RateTable:
             lines.append(f"{h:.6e} {e:.6e}")
         return "\n".join(lines) + "\n"
 
-    def asymptotic_rate(self, points: int = 3) -> float:
-        """Least-squares slope of log(error) vs log(h) over the last rows."""
-        k = min(points, len(self.error))
-        hs = np.log(np.asarray(self.h[-k:], dtype=float))
-        es = np.log(np.asarray(self.error[-k:], dtype=float))
-        return float(np.polyfit(hs, es, 1)[0])
-
 
 def compute_rates(errors, hs):
     """r_i = log(e_{i-1}/e_i) / log(h_{i-1}/h_i); None for degenerate rows."""

@@ -2,29 +2,28 @@
 
 The family is first normalized with the lumped mass so that every system
 becomes (A~ + alpha~_l I) V~ = Z~ with the scaled operator's sup-norm equal
-to one.  Systems with large shifts are well conditioned and are solved with
-a shared-Krylov multishift conjugate gradient: one Lanczos basis of A~ is
-grown lazily (the only matrix-vector products), and every shifted system is
-solved inside that basis through scalar recurrences, which is algebraically
-the classical shifted-CG iteration.  The recurrences run over the active set
-only: a shift leaves it at the step its residual bound is met, so each step
-costs one matvec plus work proportional to the shifts still unconverged.
-Their per-step coefficients are stored row-major, one row per Lanczos step,
-and the back substitution that reconstructs the solutions likewise touches
-only the shifts still live at each step.  ``normalize`` assembles A~
+to one.  Systems with large shifts are well conditioned and share one
+Lanczos basis of A~, grown from the right-hand side (the only matrix-vector
+products).  Every shift's Galerkin solution in that basis follows from one
+eigendecomposition of the basis' tridiagonal, which is algebraically the
+classical multishift CG.  A shift's residual decreases with the shift, so
+the basis grows until the smallest shift's residual, tracked by one scalar
+recurrence, meets the tolerance; when it stops at ``n_max`` vectors
+instead, the solved shifts are the leading ones whose residual, read off the
+tridiagonal's eigenvalues, meets it.  ``normalize`` assembles A~
 prescaled, once per stiffness / lumped-mass pair, and reuses it for every
-later family on the same operator.  Once the basis would exceed ``n_max``
-dimensions the remaining (small-shift) systems are solved sequentially by
-preconditioned CG, rebuilding the preconditioner whenever the previous
-system needed more than ``iter_cap`` iterations.  Each system starts from
-its neighbor's solution, and since all systems share the right-hand side
-its initial residual follows from the neighbor's final residual without a
-matvec.  A system whose carried residual misses the tolerance starts
-instead from the combination of the last four stored solutions that
-minimizes its residual (a p-column least-squares problem built from their
-stored residuals) and pays one matvec for that start's true residual.
-``solve_family`` is the one entry point that runs these stages in
-sequence; it returns either every solution or their weighted combination.
+later family on the same operator.  The remaining (small-shift) systems
+are solved sequentially by preconditioned CG, rebuilding the
+preconditioner whenever the previous system needed more than ``iter_cap``
+iterations.  Each system starts from its neighbor's solution, and since
+all systems share the right-hand side its initial residual follows from
+the neighbor's final residual without a matvec.  A system whose carried
+residual misses the tolerance starts instead from the combination of the
+last four stored solutions that minimizes its residual (a p-column
+least-squares problem built from their stored residuals) and pays one
+matvec for that start's true residual.  ``solve_family`` is the one entry
+point that runs these stages in sequence; it returns either every solution
+or their weighted combination.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from .multigrid import IncompleteCholesky
 
@@ -52,10 +52,9 @@ __all__ = [
 class SolveStats:
     """Bookkeeping for one family solve.
 
-    ``iterations`` maps a label to the Krylov dimension at which that
-    multishift system converged (the step it left the active set) or to its
-    PCG iteration count; ``n_matvec`` counts the Lanczos basis vectors plus
-    every PCG matvec.
+    ``iterations`` maps a label to the size of the Lanczos basis that
+    multishift system was solved in, or to its PCG iteration count;
+    ``n_matvec`` counts the Lanczos basis vectors plus every PCG matvec.
     """
 
     iterations: dict = field(default_factory=dict)   # label -> iteration count
@@ -152,135 +151,96 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
         inv_sqrt_mass=d)
 
 
-class _MultishiftScan:
-    """Lanczos basis plus, per shift, the first converging Krylov dimension.
+def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float):
+    """Lanczos basis of A~ from the scaled right-hand side.
 
-    Only the shifts that have not yet converged are carried through the
-    recurrences: their indices sit in an array that shrinks as shifts
-    converge.  Row j of the ``(n_max, S)`` arrays ``D`` and ``C`` holds the
-    pivots and the scaled residual coefficients of step j for the shifts
-    that were active at that step; entries of shifts that had already
-    converged stay zero and are never read.
+    Returns ``(Q, a, b, done)``: the basis rows, the diagonal ``a`` and the
+    off-diagonal ``b`` of the tridiagonal, with ``b[-1]`` the norm of the
+    last residual.  One scalar LDL^T recurrence, for the smallest shift,
+    decides when to stop: a shift's residual decreases with the shift, so
+    once the smallest shift meets ``tol_abs`` every shift does.  The basis
+    then stops with ``done`` set, and so it does on an invariant subspace;
+    otherwise it stops at ``n_max`` vectors.  A non-positive pivot of the
+    smallest shift means the operator is not positive definite.
     """
-
-    def __init__(self, family: ShiftedFamily, n_max: int, rtol: float):
-        sig = family.shifts_scaled
-        S = sig.size
-        n = family.n
-        z = family.rhs_scaled
-        beta0 = float(np.linalg.norm(z))
-        self.beta0 = beta0
-        self.n = n
-        self.n_basis = 0
-        self.m_conv = np.zeros(S, dtype=np.int64)   # 0 means not converged
-        self.a = np.zeros(n_max)
-        self.b = np.zeros(n_max)
-        self.D = np.zeros((n_max, S))
-        self.C = np.zeros((n_max, S))
-        self.Q = None
-        if beta0 == 0.0:
-            self.m_conv[:] = 1          # zero rhs: zero solutions, no work
-            self.trivial = True
-            return
-        self.trivial = False
-
-        tol_abs = rtol * beta0
-        Q = np.empty((n_max, n))
-        np.divide(z, beta0, out=Q[0])
-        act = np.arange(S)              # unconverged shifts
-        sig_act = sig
-        j = 0
-        while j < n_max and act.size:
-            q = Q[j]
-            w = family.apply_scaled(q)
-            if j > 0:
-                w -= self.b[j - 1] * Q[j - 1]
-            aj = float(q @ w)
-            w -= aj * q
-            bj = float(np.linalg.norm(w))
-            self.a[j] = aj
-            self.b[j] = bj
-            if j == 0:
-                d = aj + sig_act
-                c = np.full(S, beta0)
-            else:
-                ratio = self.b[j - 1] / d
-                d = aj + sig_act - self.b[j - 1] * ratio
-                c = -ratio * c
-            if np.any(d <= 0.0):
-                raise RuntimeError(
-                    "shifted CG breakdown: operator is not positive definite")
-            self.D[j, act] = d
-            self.C[j, act] = c
-            hit = np.abs(c) / d * bj <= tol_abs
-            j += 1
-            if hit.any():
-                self.m_conv[act[hit]] = j
-                keep = ~hit
-                act, sig_act, d, c = act[keep], sig_act[keep], d[keep], c[keep]
-            if act.size:
-                if bj < 1e-300:
-                    # invariant subspace: every remaining residual is zero
-                    self.m_conv[act] = j
-                    break
-                if j < n_max:
-                    np.divide(w, bj, out=Q[j])
-        self.n_basis = j
-        self.Q = Q[:j]
-
-    def reconstruct(self, indices: np.ndarray, weights=None):
-        """Galerkin solutions for the given shift indices (scaled space).
-
-        Rows come back in the order of ``indices``.  With ``weights`` the
-        weighted sum over those shifts is returned instead of the individual
-        solutions.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if self.trivial or indices.size == 0:
-            if weights is not None:
-                return np.zeros(self.n)
-            return np.zeros((indices.size, self.n))
-        m_arr = self.m_conv[indices]
-        if np.any(m_arr <= 0):
-            raise ValueError("reconstruction requested for unsolved shifts")
-        # latest-converging first: the shifts still live at backward step j
-        # (those with m > j) are then a prefix of length live[j]
-        perm = np.argsort(-m_arr, kind="stable")
-        ix = indices[perm]
-        m_sorted = m_arr[perm]
-        m_max = int(m_sorted[0])
-        live = np.searchsorted(-m_sorted, -np.arange(m_max), side="left")
-        # a shift entering the prefix has y = 0, so its first step is C / D
-        y = np.zeros(indices.size)
-        if weights is not None:
-            w_sorted = np.asarray(weights, dtype=float)[perm]
-            store = np.zeros(m_max)
+    z = family.rhs_scaled
+    beta0 = float(np.linalg.norm(z))
+    sigma = family.shifts_scaled[-1]
+    Q = np.empty((n_max, family.n))
+    a = np.empty(n_max)
+    b = np.empty(n_max)
+    np.divide(z, beta0, out=Q[0])
+    c = beta0
+    for j in range(n_max):
+        q = Q[j]
+        w = family.apply_scaled(q)
+        if j > 0:
+            w -= b[j - 1] * Q[j - 1]
+        a[j] = q @ w
+        w -= a[j] * q
+        b[j] = np.linalg.norm(w)
+        if j == 0:
+            d = a[0] + sigma
         else:
-            Yt = np.zeros((m_max, indices.size))
-        for j in range(m_max - 1, -1, -1):
-            L = live[j]
-            cols = ix[:L]
-            y[:L] = (self.C[j, cols] - self.b[j] * y[:L]) / self.D[j, cols]
-            if weights is not None:
-                store[j] = w_sorted[:L] @ y[:L]
-            else:
-                Yt[j, perm[:L]] = y[:L]
-        if weights is not None:
-            return store @ self.Q[:m_max]
-        return Yt.T @ self.Q[:m_max]
+            ratio = b[j - 1] / d
+            d = a[j] + sigma - b[j - 1] * ratio
+            c = -ratio * c
+        if d <= 0.0:
+            raise RuntimeError(
+                "shifted CG breakdown: operator is not positive definite")
+        if abs(c) / d * b[j] <= tol_abs or b[j] < 1e-300:
+            return Q[:j + 1], a[:j + 1], b[:j + 1], True
+        if j + 1 < n_max:
+            np.divide(w, b[j], out=Q[j + 1])
+    return Q, a, b, False
 
 
-def _pcg(op, b, x0, r0, prec, rtol, maxiter):
-    """Preconditioned CG from ``x0``, whose residual ``b - op(x0)`` is ``r0``.
+def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
+    """Galerkin solutions of the leading shifts in one Lanczos basis.
+
+    With ``T = V diag(theta) V^T`` the basis' tridiagonal, shift ``sigma``
+    has the solution ``beta0 Q^T V (V[0] / (theta + sigma))`` and the
+    residual ``beta0 prod(b) / prod(theta + sigma)``.  Returns ``(n_solved,
+    n_basis, head, x_last)``: the number of leading shifts solved, the basis
+    size, their solutions (or with ``weights`` the weighted sum over them)
+    in scaled space, and the last solved shift's solution when the tail
+    still has systems (else None).
+    """
+    S = family.n_shifts
+    sig = family.shifts_scaled
+    beta0 = float(np.linalg.norm(family.rhs_scaled))
+    if beta0 == 0.0:                    # zero solutions, no work
+        head = np.zeros(family.n) if weights is not None else \
+            np.zeros((S, family.n))
+        return S, 0, head, None
+    Q, a, b, done = _lanczos(family, n_max, tol_abs)
+    theta, V = eigh_tridiagonal(a, b[:-1])
+    n_solved = S
+    if not done:
+        # the residuals in log space, as the large shifts' underflow
+        # directly; they increase along the family, so the shifts that meet
+        # the tolerance are a prefix
+        log_res = (math.log(beta0) + np.log(b).sum()
+                   - np.log(theta[:, None] + sig[None, :]).sum(axis=0))
+        with np.errstate(divide="ignore"):      # rtol = 0 solves nothing
+            n_solved = int(np.count_nonzero(log_res <= np.log(tol_abs)))
+    G = beta0 * V[0][:, None] / (theta[:, None] + sig[None, :n_solved])
+    if weights is not None:
+        head = (V @ (G @ weights[:n_solved])) @ Q
+    else:
+        head = (V @ G).T @ Q
+    x_last = (V @ G[:, -1]) @ Q if 0 < n_solved < S else None
+    return n_solved, len(Q), head, x_last
+
+
+def _pcg(op, x0, r0, prec, tol, maxiter):
+    """Preconditioned CG from ``x0``, whose residual ``b - op(x0)`` is ``r0``,
+    until the residual norm is at most ``tol``.
 
     Returns ``(x, r, iterations, converged)`` with ``r`` the recursively
     updated residual of ``x``; each iteration is one product with ``op``.  A
     start that already meets the tolerance is returned as is.
     """
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return np.zeros_like(b), np.zeros_like(b), 0, True
-    tol = rtol * norm_b
     r = r0
     if np.linalg.norm(r) <= tol:
         return x0, r, 0, True
@@ -343,13 +303,14 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
     preconditioner, compute ``b - op(x)``.  Returns ``(solutions or
     weighted sum, stats)`` in scaled space.
     """
-    S = family.n_shifts
-    count = S - start
+    count = family.n_shifts - start
     stats = SolveStats(n_alg2=count)
-    if count <= 0:
-        if weights is not None:
-            return np.zeros(family.n), stats
-        return np.zeros((0, family.n)), stats
+    b = family.rhs_scaled
+    norm_b = float(np.linalg.norm(b))
+    out = np.zeros(family.n) if weights is not None else \
+        np.zeros((count, family.n))
+    if count == 0 or norm_b == 0.0:     # nothing to solve, or zero solutions
+        return out, stats
 
     if prec_factory is None:
         def prec_factory(alpha):
@@ -365,10 +326,7 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
             return family.rho * sqrt_mass * prec_obj.apply(sqrt_mass * v)
         return apply
 
-    b = family.rhs_scaled
-    tol = rtol * float(np.linalg.norm(b))
-    out = np.zeros(family.n) if weights is not None else \
-        np.zeros((count, family.n))
+    tol = rtol * norm_b
     x = x_start if x_start is not None else np.zeros(family.n)
     r = None                # residual of x for the previous shift
     # (x, r, sigma) of the latest systems that iterated, or were the first:
@@ -378,7 +336,7 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
     prec = None
     prev_iters = iter_cap + 1
     maxiter = max(10 * iter_cap, 50)
-    for pos in range(start, S):
+    for pos in range(start, family.n_shifts):
         sigma = family.shifts_scaled[pos]
         label = family.labels[pos]
 
@@ -399,14 +357,14 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
             prec = wrap(prec_factory(family.shifts[pos]))
             stats.n_prec_setups += 1
             freshly_built = True
-        x, r, iters, converged = _pcg(op, b, x, r, prec, rtol, maxiter)
+        x, r, iters, converged = _pcg(op, x, r, prec, tol, maxiter)
         stats.n_matvec += iters
         if not converged:
             if not freshly_built:
                 prec = wrap(prec_factory(family.shifts[pos]))
                 stats.n_prec_setups += 1
-                x, r, extra, converged = _pcg(op, b, x, b - op(x), prec,
-                                              rtol, maxiter)
+                x, r, extra, converged = _pcg(op, x, b - op(x), prec, tol,
+                                              maxiter)
                 stats.n_matvec += 1 + extra
                 iters += extra
             if not converged:
@@ -430,8 +388,8 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
                  n_max=500, iter_cap=20, prec_factory=None, weights=None):
     """Solve (A + alpha_l M_h) V^l = Z for every shift.
 
-    The leading (large) shifts are solved by the multishift scan until its
-    basis would exceed ``n_max`` vectors, the rest by ``solve_preconditioned``
+    The leading (large) shifts are solved in one Lanczos basis of at most
+    ``n_max`` vectors, the rest by ``solve_preconditioned``
     warm-started from the last multishift solution.  Returns ``(values,
     stats)``: the solution stack (input shift order, one row per shift), or
     with ``weights`` the combination ``sum_l w_l V^l``, which avoids
@@ -447,25 +405,17 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     if weights is not None:
         weights = np.asarray(weights, dtype=float)[order]
 
-    scan = _MultishiftScan(family, n_max, rtol)
-    unsolved = np.flatnonzero(scan.m_conv == 0)
-    n_solved = int(unsolved[0]) if unsolved.size else family.n_shifts
-    x_start = None
-    if unsolved.size and n_solved > 0:
-        x_start = scan.reconstruct(np.array([n_solved - 1]))[0]
-    head = scan.reconstruct(
-        np.arange(n_solved),
-        weights=None if weights is None else weights[:n_solved])
-    scan.Q = None                          # release the basis before PCG
+    tol_abs = rtol * float(np.linalg.norm(family.rhs_scaled))
+    n_solved, n_basis, head, x_start = _head(family, n_max, tol_abs, weights)
     tail, pcg = solve_preconditioned(
         family, n_solved, iter_cap, rtol, prec_factory=prec_factory,
         x_start=x_start, weights=weights)
     stats = SolveStats(
-        iterations={**{family.labels[i]: int(scan.m_conv[i])
-                       for i in range(n_solved)}, **pcg.iterations},
+        iterations={**{family.labels[i]: n_basis for i in range(n_solved)},
+                    **pcg.iterations},
         n_alg1=n_solved, n_alg2=pcg.n_alg2,
         crossover=family.labels[n_solved - 1] if n_solved else None,
-        n_prec_setups=pcg.n_prec_setups, n_matvec=scan.n_basis + pcg.n_matvec)
+        n_prec_setups=pcg.n_prec_setups, n_matvec=n_basis + pcg.n_matvec)
     if weights is not None:
         return family.unnormalize(head + tail), stats
     rows = family.unnormalize(np.vstack([head, tail]))

@@ -301,6 +301,28 @@ class TestCli:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_solve_rejected_by_the_solver_leaves_no_output(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "run"
+        code = main(["solve", "--level", "2", "--s", "1.5", "--out", str(out)])
+        assert code == 1
+        assert "s must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_value_that_does_not_parse_names_its_key(self, tmp_path, capsys,
+                                                     source):
+        argv = ["solve", "--level", "2", "--out", str(tmp_path / "run")]
+        if source == "config":
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("mu = 0.1x\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--mu", "0.1x"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "mu = '0.1x'" in err
+
     @pytest.mark.parametrize("word,written", [("TRUE", True), ("On", True),
                                               ("no", False), ("0", False)])
     def test_config_boolean_spellings(self, tmp_path, word, written):

@@ -8,7 +8,7 @@ from fraclap import normalize, shifted, solve_family, unit_square_mesh
 from fraclap.fem import operators
 from fraclap.fractional import quadrature_for_mesh, sinc_quadrature
 from fraclap.harness import hat_rhs
-from fraclap.shifted import _MultishiftScan, solve_preconditioned
+from fraclap.shifted import _head, solve_preconditioned
 
 
 def plain_cg(A_apply, b, rtol, maxiter=10000):
@@ -185,40 +185,52 @@ class TestActiveSetScan:
         return normalize(ops.stiffness, ops.lumped_mass, quad.shifts,
                          assemble_rhs(mesh), labels=quad.l), quad
 
+    def _head(self, fam, n_max, rtol, weights=None):
+        tol_abs = rtol * np.linalg.norm(fam.rhs_scaled)
+        return _head(fam, n_max, tol_abs, weights)
+
     @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
     def test_matches_full_width_recurrences(self, s):
         fam, _ = self._family(s)
-        n_max, rtol = 30, 1e-9
-        scan = _MultishiftScan(fam, n_max, rtol)
-        m_ref, n_ref, sols_ref = full_width_scan(fam, n_max, rtol)
-        np.testing.assert_array_equal(scan.m_conv, m_ref)
-        assert scan.n_basis == n_ref
-        solved = np.flatnonzero(m_ref)
-        # some shifts converge early and some never within n_max
-        assert 0 < solved.size < fam.n_shifts
-        sols = scan.reconstruct(solved)
-        scale = np.linalg.norm(sols_ref[solved], axis=1, keepdims=True)
-        assert (np.abs(sols - sols_ref[solved]) <= 1e-12 * scale).all()
+        rtol = 1e-9
+        solved = []
+        for n_max in (30, 60):
+            n_solved, n_basis, rows, _ = self._head(fam, n_max, rtol)
+            m_ref, n_ref, sols_ref = full_width_scan(fam, n_max, rtol)
+            assert n_solved == np.count_nonzero(m_ref)
+            assert n_basis == n_ref
+            # the reference solves each shift in the basis it converged in,
+            # the head in the whole basis: both meet rtol
+            ref = sols_ref[:n_solved]
+            scale = np.linalg.norm(ref, axis=1)
+            assert (np.linalg.norm(rows - ref, axis=1) <= 1e-8 * scale).all()
+            solved.append(n_solved)
+        # at n_max = 30 some shifts are solved and some are not
+        assert 0 < solved[0] < fam.n_shifts
 
-    def test_reconstruct_keeps_requested_order(self):
-        fam, _ = self._family(0.05)
-        scan = _MultishiftScan(fam, 60, 1e-9)
-        solved = np.flatnonzero(scan.m_conv)
-        perm = np.random.default_rng(3).permutation(solved)
-        rows = scan.reconstruct(solved)[np.searchsorted(solved, perm)]
-        np.testing.assert_allclose(scan.reconstruct(perm), rows,
-                                   rtol=1e-13, atol=0.0)
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+    def test_head_rows_meet_rtol(self, s):
+        fam, _ = self._family(s)
+        rtol = 1e-9
+        b = fam.rhs_scaled
+        for n_max in (30, 60):
+            n_solved, _, rows, _ = self._head(fam, n_max, rtol)
+            for x, sigma in zip(rows, fam.shifts_scaled[:n_solved]):
+                r = b - fam.apply_scaled(x) - sigma * x
+                assert np.linalg.norm(r) <= rtol * np.linalg.norm(b)
 
     def test_weighted_equals_weighted_rows(self):
         fam, quad = self._family(0.05)
-        scan = _MultishiftScan(fam, 60, 1e-9)
-        solved = np.flatnonzero(scan.m_conv)
-        idx = np.random.default_rng(4).permutation(solved)
-        w = quad.weights[::-1][idx]         # family order is decreasing shift
-        combined = scan.reconstruct(idx, weights=w)
-        expected = w @ scan.reconstruct(idx)
+        w = quad.weights[::-1]              # family order is decreasing shift
+        n_solved, _, rows, x_last = self._head(fam, 30, 1e-9)
+        _, _, combined, _ = self._head(fam, 30, 1e-9, weights=w)
+        expected = w[:n_solved] @ rows
         assert np.linalg.norm(combined - expected) <= \
             1e-13 * np.linalg.norm(expected)
+        # the tail starts from the last head row
+        assert n_solved < fam.n_shifts
+        assert np.linalg.norm(x_last - rows[-1]) <= \
+            1e-13 * np.linalg.norm(rows[-1])
 
     def test_eigenvector_rhs_stops_after_one_vector(self):
         a = np.array([1.0, 2.0, 5.0, 3.0])
