@@ -17,20 +17,21 @@ are solved sequentially by preconditioned CG, rebuilding the
 preconditioner whenever the previous system needed more than ``iter_cap``
 iterations.  Each system starts from its neighbor's solution, and since
 all systems share the right-hand side its initial residual follows from
-the neighbor's final residual without a matvec.  A system whose carried
-residual misses the tolerance starts instead from the combination of the
-last four stored solutions that minimizes its residual (a p-column
-least-squares problem built from their stored residuals) and pays one
-matvec for that start's true residual.  ``solve_family`` is the one entry
-point that runs these stages in sequence; it returns either every solution
-or their weighted combination.
+the neighbor's final residual without a matvec; while the solution stays
+fixed, the norm of that carried residual follows from three inner products,
+so a system whose warm start already meets the tolerance costs O(1) work.
+A system whose carried residual misses starts instead from the combination
+of the last four stored solutions that minimizes its residual, a p x p
+least-squares problem in their stored inner products, and pays one matvec
+for that start's true residual.  ``solve_family`` is the one entry point
+that runs these stages in sequence; it returns either every solution or
+their weighted combination.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,19 +267,56 @@ def _pcg(op, x0, r0, prec, tol, maxiter):
 _HISTORY = 4
 
 
-def _min_residual_start(history, b, sigma):
-    """The combination ``sum c_i x_i`` of the stored solutions that minimizes
-    the residual at shift ``sigma``.
+class _History:
+    """The last ``_HISTORY`` tail solutions ``x_i`` and their images
+    ``y_i = b - r_i - sigma_i x_i`` (``A~ x_i``, from the final residual
+    ``r_i`` at shift ``sigma_i``), kept as the rows of two ring buffers
+    together with their inner products with each other and with ``b``.
 
-    A stored ``x_i`` with final residual ``r_i`` at shift ``sigma_i`` has
-    ``op_sigma(x_i) = b - r_i + (sigma - sigma_i) x_i``, so the p-column
-    least-squares problem ``min |b - sum c_i op_sigma(x_i)|`` needs no
-    matvec.
+    At shift ``sigma`` a stored solution has ``op_sigma(x_i) = y_i + sigma
+    x_i``, so the least-squares problem ``min |b - sum c_i op_sigma(x_i)|``
+    has the p x p normal equations ``(YY + sigma (XY + XY^T) + sigma^2 XX) c
+    = Yb + sigma Xb`` in those inner products, and a start costs no
+    O(n) work beyond the combination itself (Fischer, CMAME 163, 1998).
     """
-    W = np.column_stack([b - r_i + (sigma - sigma_i) * x_i
-                         for x_i, r_i, sigma_i in history])
-    c = np.linalg.lstsq(W, b, rcond=None)[0]
-    return sum(c_i * x_i for c_i, (x_i, _, _) in zip(c, history))
+
+    def __init__(self, b):
+        self.b = b
+        self.X = np.zeros((_HISTORY, b.shape[0]))
+        self.Y = np.zeros((_HISTORY, b.shape[0]))
+        self.XX = np.zeros((_HISTORY, _HISTORY))
+        self.XY = np.zeros((_HISTORY, _HISTORY))     # XY[i, j] = x_i . y_j
+        self.YY = np.zeros((_HISTORY, _HISTORY))
+        self.Xb = np.zeros(_HISTORY)
+        self.Yb = np.zeros(_HISTORY)
+        self.size = 0
+        self.next = 0
+
+    def append(self, x, r, sigma):
+        k = self.next
+        self.next = (k + 1) % _HISTORY
+        self.size = p = min(self.size + 1, _HISTORY)
+        X, Y = self.X[:p], self.Y[:p]
+        X[k] = x
+        np.subtract(self.b, r, out=Y[k])
+        Y[k] -= sigma * x
+        self.XX[k, :p] = self.XX[:p, k] = X @ X[k]
+        self.XY[:p, k] = X @ Y[k]
+        self.XY[k, :p] = Y @ X[k]
+        self.YY[k, :p] = self.YY[:p, k] = Y @ Y[k]
+        self.Xb[k] = X[k] @ self.b
+        self.Yb[k] = Y[k] @ self.b
+
+    def start(self, sigma):
+        """The combination of the stored solutions that minimizes the
+        residual at shift ``sigma``."""
+        p = self.size
+        XY = self.XY[:p, :p]
+        G = self.YY[:p, :p] + sigma * (XY + XY.T) \
+            + sigma * sigma * self.XX[:p, :p]
+        c = np.linalg.lstsq(G, self.Yb[:p] + sigma * self.Xb[:p],
+                            rcond=None)[0]
+        return c @ self.X[:p]
 
 
 def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
@@ -290,18 +328,22 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
     previous solve took more than ``iter_cap`` iterations; the first system
     starts from ``x_start`` (zero by default), every later one from its
     better-conditioned neighbor's solution.  All systems share the
-    right-hand side, so the residual is carried across shifts: the previous
-    system's final residual ``r`` gives the next one's initial residual as
-    ``r - (sigma - sigma_prev) x``, and a system whose warm start already
-    meets the tolerance costs no matvec.  When it misses, the system starts
+    right-hand side, so the residual is carried across shifts: while ``x``
+    stays fixed, its residual ``r`` at shift ``sigma_r`` gives the one at
+    ``sigma`` as ``r - (sigma - sigma_r) x``, whose squared norm follows
+    from ``r.r``, ``r.x`` and ``x.x``, taken once per new ``x``.  A system
+    whose carried residual meets the tolerance by that estimate, with a
+    rounding margin, costs no vector work at all: with ``weights`` the
+    weights of such a run add up as a scalar until ``x`` changes.  Otherwise
+    the carried residual is formed; when it misses, the system starts
     instead from the combination of the last four solutions (of the first
-    system and of those that iterated) that minimizes its residual, which
-    their stored residuals give without a matvec (Fischer, CMAME 163, 1998).
-    That start pays one matvec for its true residual ``b - op(x)``: the
-    combined residual loses accuracy to rounding when the coefficients are
-    large.  Otherwise only the first system, and the retry after a fresh
-    preconditioner, compute ``b - op(x)``.  Returns ``(solutions or
-    weighted sum, stats)`` in scaled space.
+    system and of those that iterated) that minimizes its residual, a p x p
+    problem in their stored inner products (``_History``).  That start pays
+    one matvec for its true residual ``b - op(x)``: the combined residual
+    loses accuracy to rounding when the coefficients are large.  Otherwise
+    only the first system, and the retry after a fresh preconditioner,
+    compute ``b - op(x)``.  Returns ``(solutions or weighted sum, stats)``
+    in scaled space.
     """
     count = family.n_shifts - start
     stats = SolveStats(n_alg2=count)
@@ -328,11 +370,12 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
 
     tol = rtol * norm_b
     x = x_start if x_start is not None else np.zeros(family.n)
-    r = None                # residual of x for the previous shift
-    # (x, r, sigma) of the latest systems that iterated, or were the first:
-    # a system that did not iterate adds no direction to their span
-    history = deque(maxlen=_HISTORY)
-    sigma_prev = 0.0
+    r = None                # residual of x at shift sigma_r, formed explicitly
+    sigma_r = rr = rx = xx = 0.0
+    w_run = 0.0             # weight of the systems x solved since it changed
+    # the latest systems that iterated, or were the first: a system that did
+    # not iterate adds no direction to their span
+    history = _History(b)
     prec = None
     prev_iters = iter_cap + 1
     maxiter = max(10 * iter_cap, 50)
@@ -343,44 +386,61 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
         def op(v, sigma=sigma):
             return family.apply_scaled(v) + sigma * v
 
+        x_prev = x
+        accepted = False    # met the tolerance on the estimate; r is kept
         if r is None:
             r = b - op(x)
             stats.n_matvec += 1
         else:
-            r = r - (sigma - sigma_prev) * x
-            if np.linalg.norm(r) > tol:
-                x = _min_residual_start(history, b, sigma)
-                r = b - op(x)
-                stats.n_matvec += 1
+            # |r - d x|^2 from its three terms, plus a margin for their
+            # rounding when they cancel
+            d = sigma - sigma_r
+            dd = d * d * xx
+            accepted = rr - 2.0 * d * rx + dd \
+                + 1e-12 * (rr + 2.0 * abs(d * rx) + dd) <= tol * tol
+            if not accepted:
+                r = r - d * x
+                if np.linalg.norm(r) > tol:
+                    x = history.start(sigma)
+                    r = b - op(x)
+                    stats.n_matvec += 1
         freshly_built = False
         if prev_iters > iter_cap:
             prec = wrap(prec_factory(family.shifts[pos]))
             stats.n_prec_setups += 1
             freshly_built = True
-        x, r, iters, converged = _pcg(op, x, r, prec, tol, maxiter)
-        stats.n_matvec += iters
-        if not converged:
-            if not freshly_built:
-                prec = wrap(prec_factory(family.shifts[pos]))
-                stats.n_prec_setups += 1
-                x, r, extra, converged = _pcg(op, x, b - op(x), prec, tol,
-                                              maxiter)
-                stats.n_matvec += 1 + extra
-                iters += extra
+        iters = 0
+        if not accepted:
+            x, r, iters, converged = _pcg(op, x, r, prec, tol, maxiter)
+            stats.n_matvec += iters
             if not converged:
-                raise RuntimeError(
-                    f"PCG stagnation on shift {family.shifts[pos]:.4g} "
-                    f"(label {label}): no convergence within {maxiter} "
-                    f"iterations after a fresh preconditioner")
+                if not freshly_built:
+                    prec = wrap(prec_factory(family.shifts[pos]))
+                    stats.n_prec_setups += 1
+                    x, r, extra, converged = _pcg(op, x, b - op(x), prec,
+                                                  tol, maxiter)
+                    stats.n_matvec += 1 + extra
+                    iters += extra
+                if not converged:
+                    raise RuntimeError(
+                        f"PCG stagnation on shift {family.shifts[pos]:.4g} "
+                        f"(label {label}): no convergence within {maxiter} "
+                        f"iterations after a fresh preconditioner")
+            if iters or pos == start:
+                history.append(x, r, sigma)
+            sigma_r = sigma
+            rr, rx, xx = float(r @ r), float(r @ x), float(x @ x)
         stats.iterations[label] = iters
-        if iters or pos == start:
-            history.append((x, r, sigma))
         prev_iters = iters
-        sigma_prev = sigma
-        if weights is not None:
-            out += weights[pos] * x
-        else:
+        if weights is None:
             out[pos - start] = x
+        else:
+            if x is not x_prev:
+                out += w_run * x_prev
+                w_run = 0.0
+            w_run += weights[pos]
+    if weights is not None:
+        out += w_run * x
     return out, stats
 
 
@@ -393,8 +453,13 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     warm-started from the last multishift solution.  Returns ``(values,
     stats)``: the solution stack (input shift order, one row per shift), or
     with ``weights`` the combination ``sum_l w_l V^l``, which avoids
-    materializing every solution.
+    materializing every solution.  ``rtol = 0`` is accepted only when the
+    Lanczos basis solves every shift exactly (an invariant subspace).
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
     shifts = np.asarray(shifts, dtype=float)
     family = normalize(A, lumped_mass, shifts, Z, labels=labels)
     # the solvers stop on the normalized residual; dividing by the mass
@@ -407,6 +472,10 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
 
     tol_abs = rtol * float(np.linalg.norm(family.rhs_scaled))
     n_solved, n_basis, head, x_start = _head(family, n_max, tol_abs, weights)
+    if rtol == 0.0 and n_solved < family.n_shifts:
+        raise ValueError(
+            f"rtol = 0 leaves {family.n_shifts - n_solved} systems to PCG, "
+            "which cannot meet a zero tolerance; pass rtol > 0")
     tail, pcg = solve_preconditioned(
         family, n_solved, iter_cap, rtol, prec_factory=prec_factory,
         x_start=x_start, weights=weights)

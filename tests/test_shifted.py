@@ -87,18 +87,44 @@ class TestMultishift:
             sols, Z[None, :] / (d[None, :] + shifts[:, None]), atol=1e-9)
         assert stats.n_alg2 == 0
 
-    def test_shared_basis_matvec_budget(self):
+    def test_shared_basis_matvec_budget(self, monkeypatch):
         mesh = unit_square_mesh(16)
         ops = operators(mesh)
         quad = sinc_quadrature(0.5, 0.4)
-        _, stats = solve_family(ops.stiffness, ops.lumped_mass, quad.shifts,
-                                np.ones(mesh.n_interior), labels=quad.l,
-                                n_max=120)
-        by_shift = quad.l[::-1]             # labels by decreasing shift
-        assert all(stats.iterations[label] <= 120
-                   for label in by_shift[:stats.n_alg1])
-        assert stats.crossover == by_shift[stats.n_alg1 - 1]
-        assert stats.n_alg1 + stats.n_alg2 == quad.n_systems
+        # every matvec, and those made inside the PCG tail
+        matvecs, in_tail = [0], [0]
+        apply = shifted.ShiftedFamily.apply_scaled
+        tail = shifted.solve_preconditioned
+
+        def counted_apply(family, v):
+            matvecs[0] += 1
+            return apply(family, v)
+
+        def counted_tail(*args, **kwargs):
+            before = matvecs[0]
+            result = tail(*args, **kwargs)
+            in_tail[0] += matvecs[0] - before
+            return result
+
+        monkeypatch.setattr(shifted.ShiftedFamily, "apply_scaled",
+                            counted_apply)
+        monkeypatch.setattr(shifted, "solve_preconditioned", counted_tail)
+        # the head converges within 120 vectors; at 20 it leaves a tail
+        for n_max in (120, 20):
+            matvecs[0] = in_tail[0] = 0
+            _, stats = solve_family(ops.stiffness, ops.lumped_mass,
+                                    quad.shifts, np.ones(mesh.n_interior),
+                                    labels=quad.l, n_max=n_max)
+            assert stats.n_matvec == matvecs[0]
+            # the head shares one basis of at most n_max vectors
+            head = matvecs[0] - in_tail[0]
+            assert 0 < head <= n_max
+            by_shift = quad.l[::-1]         # labels by decreasing shift
+            assert all(stats.iterations[label] == head
+                       for label in by_shift[:stats.n_alg1])
+            assert stats.crossover == by_shift[stats.n_alg1 - 1]
+            assert stats.n_alg1 + stats.n_alg2 == quad.n_systems
+        assert stats.n_alg2 > 0 and in_tail[0] > 0
 
     def test_agrees_with_plain_cg_per_shift(self):
         mesh = unit_square_mesh(16)
@@ -125,6 +151,22 @@ class TestMultishift:
         A = sp.diags(np.array([1.0, -2.0, 3.0])).tocsr()
         with pytest.raises(RuntimeError):
             solve_family(A, np.ones(3), np.array([0.1]), np.ones(3))
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_max": 0}, "n_max"),
+        ({"n_max": -3}, "n_max"),
+        ({"rtol": -1e-8}, "rtol"),
+        ({"rtol": float("nan")}, "rtol"),
+        ({"rtol": float("inf")}, "rtol"),
+        ({"rtol": 0.0, "n_max": 5}, "rtol"),    # the tail gets systems
+    ])
+    def test_rejects_invalid_inputs_by_name(self, kwargs, name):
+        mesh = unit_square_mesh(8)
+        ops = operators(mesh)
+        quad = sinc_quadrature(0.5, 0.5)
+        with pytest.raises(ValueError, match=name):
+            solve_family(ops.stiffness, ops.lumped_mass, quad.shifts,
+                         assemble_rhs(mesh), **kwargs)
 
     def test_zero_rhs(self):
         mesh = unit_square_mesh(4)
@@ -315,31 +357,23 @@ class TestSequentialPCG:
 
 def traced_solve(monkeypatch, fam, start, iter_cap, rtol, **kwargs):
     """``solve_preconditioned`` with its matvecs counted by wrapping
-    ``fam.apply_scaled``, and its minimum-residual starts counted from the
-    PCG runs it makes: a system starts from a combination exactly when the
-    residual carried from its neighbor, ``r - (sigma - sigma_prev) x``,
-    misses the tolerance.  Returns ``(result, matvecs, starts)``."""
-    matvecs, finals = [0], []
-    apply, pcg = fam.apply_scaled, shifted._pcg
+    ``fam.apply_scaled``, and its minimum-residual starts counted by wrapping
+    the start itself.  Returns ``(result, matvecs, starts)``."""
+    matvecs, starts = [0], [0]
+    apply, min_residual = fam.apply_scaled, shifted._History.start
 
     def counted_apply(v):
         matvecs[0] += 1
         return apply(v)
 
-    def recorded_pcg(*args):
-        x, r, iters, converged = pcg(*args)
-        if converged:               # a system's last run (after any retry)
-            finals.append((x.copy(), r.copy()))
-        return x, r, iters, converged
+    def counted_start(history, sigma):
+        starts[0] += 1
+        return min_residual(history, sigma)
 
     monkeypatch.setattr(fam, "apply_scaled", counted_apply)
-    monkeypatch.setattr(shifted, "_pcg", recorded_pcg)
+    monkeypatch.setattr(shifted._History, "start", counted_start)
     result = solve_preconditioned(fam, start, iter_cap, rtol, **kwargs)
-    sig = fam.shifts_scaled[start:]
-    tol = rtol * float(np.linalg.norm(fam.rhs_scaled))
-    starts = sum(np.linalg.norm(r - (s1 - s0) * x) > tol
-                 for (x, r), s0, s1 in zip(finals, sig, sig[1:]))
-    return result, matvecs[0], starts
+    return result, matvecs[0], starts[0]
 
 
 class TestCarriedResidual:
@@ -436,6 +470,83 @@ class TestCarriedResidual:
         expected = w[self.START:] @ rows
         assert np.linalg.norm(combined - expected) <= \
             1e-13 * np.linalg.norm(expected)
+
+    def test_weighted_tail_from_a_start_vector(self):
+        # a tail that starts mid-family from a given vector, as after the
+        # multishift head: the weights of each run of carried systems are
+        # summed before they multiply the shared solution
+        fam, w = self._family()
+        start = int(np.argmax(fam.shifts_scaled < 0.1))
+        x_start = fam.rhs_scaled / (1.0 + fam.shifts_scaled[start])
+        rows, stats = solve_preconditioned(fam, start, 20, self.RTOL,
+                                           x_start=x_start)
+        combined, _ = solve_preconditioned(fam, start, 20, self.RTOL,
+                                           x_start=x_start, weights=w)
+        iters = np.array(list(stats.iterations.values()))
+        assert start > 0
+        assert (iters == 0).sum() > 100 and (iters > 0).sum() > 10
+        expected = w[start:] @ rows
+        assert np.linalg.norm(combined - expected) <= \
+            1e-13 * np.linalg.norm(expected)
+
+    def test_systems_accepted_without_a_vector_meet_tol(self, monkeypatch):
+        # a system accepted on the scalar estimate of its carried residual
+        # runs no PCG; form that residual from the last PCG result
+        fam, _ = self._family()
+        b = fam.rhs_scaled
+        runs = []                   # (x, r, sigma) of every PCG run
+        pcg = shifted._pcg
+
+        def recorded_pcg(op, *args):
+            x, r, iters, converged = pcg(op, *args)
+            probe = np.ones_like(x)
+            sigma = (op(probe) - fam.apply_scaled(probe)).mean()
+            runs.append((x, r.copy(), sigma))
+            return x, r, iters, converged
+
+        monkeypatch.setattr(shifted, "_pcg", recorded_pcg)
+        sols, _ = solve_preconditioned(fam, 0, 20, self.RTOL)
+        sig = fam.shifts_scaled
+        ran = {int(np.argmin(np.abs(np.log(sig / s)))): run
+               for run in runs for s in [run[2]]}
+        tol = self.RTOL * np.linalg.norm(b)
+        accepted = 0
+        for pos in range(fam.n_shifts):
+            if pos in ran:
+                x, r, sigma_r = ran[pos]
+                continue
+            accepted += 1
+            np.testing.assert_array_equal(sols[pos], x)
+            assert np.linalg.norm(r - (sig[pos] - sigma_r) * x) <= tol
+        assert accepted > 100
+
+    def test_gram_start_is_near_the_least_squares_start(self, monkeypatch):
+        # the p x p normal equations against lstsq on the explicit (n, p)
+        # block, wherever that block is not too ill-conditioned
+        fam, _ = self._family()
+        b = fam.rhs_scaled
+        ratios = []
+        start = shifted._History.start
+
+        def compared_start(history, sigma):
+            x = start(history, sigma)
+            p = history.size
+            W = (history.Y[:p] + sigma * history.X[:p]).T
+            if np.linalg.cond(W) <= 1e6:
+                c = np.linalg.lstsq(W, b, rcond=None)[0]
+                x_ref = c @ history.X[:p]
+
+                def residual(v):
+                    return np.linalg.norm(
+                        b - fam.apply_scaled(v) - sigma * v)
+
+                ratios.append(residual(x) / residual(x_ref))
+            return x
+
+        monkeypatch.setattr(shifted._History, "start", compared_start)
+        solve_preconditioned(fam, 0, 20, self.RTOL)
+        assert len(ratios) > 10
+        assert max(ratios) <= 2.0
 
 
 def assemble_rhs(mesh):
