@@ -24,7 +24,7 @@ from .harness import (ExperimentConfig, RateTable, compute_rates, hat_rhs,
 from .mesh import (Mesh, cell_parents, eval_p1, prolongation_matrix,
                    read_mesh, refine_uniform, unit_cube_mesh,
                    unit_square_mesh, write_mesh)
-from .multigrid import GeometricMultigrid, IncompleteCholesky, MeshHierarchy
+from .multigrid import GeometricMultigrid, MeshHierarchy, SymmetricGaussSeidel
 from .shifted import (ShiftedFamily, SolveStats, normalize, solve_family,
                       solve_preconditioned)
 

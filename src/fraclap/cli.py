@@ -162,6 +162,7 @@ def _cmd_solve(vals: dict) -> int:
         raise ValueError("solve takes a single value of --s")
     if vals["post_process"] and vals["mode"] != ctl.FULLY_DISCRETE:
         raise ValueError("--post-process needs --mode p0")
+    _experiment_config(vals)            # rejects a dim other than 2 or 3
     m = 2 ** vals["level"]
     mesh = unit_square_mesh(m) if vals["dim"] == 2 else unit_cube_mesh(m)
     s = vals["s"][0]

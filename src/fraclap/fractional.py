@@ -92,9 +92,9 @@ class SolveOptions:
     solved to a relative residual of ``rtol``.  ``k`` overrides the
     mesh-coupled quadrature step (used by convergence studies that sweep the
     quadrature alone).  The preconditioner follows the mesh: geometric
-    multigrid on the structured unit-square/cube meshes, IC(0) on any other
-    mesh; the sequential solver rebuilds it after a system that needed more
-    than ``solve_family``'s default ``iter_cap`` of 20 iterations.
+    multigrid on the structured unit-square/cube meshes, symmetric
+    Gauss-Seidel on any other mesh; the sequential solver rebuilds it after
+    a system that needed more than ``shifted._ITER_CAP`` iterations.
     """
 
     c_k: float = 1.1
@@ -126,7 +126,7 @@ def _as_load(mesh: Mesh, rhs) -> np.ndarray:
 
 def _prec_factory(mesh: Mesh):
     """Geometric multigrid on structured meshes; None otherwise, so that the
-    family solve builds its default IC(0) preconditioner."""
+    family solve builds its default symmetric Gauss-Seidel preconditioner."""
     if mesh.cells_per_side is None:
         return None
     return functools.partial(GeometricMultigrid, MeshHierarchy.for_mesh(mesh))

@@ -54,6 +54,8 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if self.dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {self.dim!r}")
         if self.levels and self.ref_level <= max(self.levels):
             raise ValueError("the reference level must exceed every study level")
 

@@ -4,13 +4,11 @@ The workhorse is a geometric multigrid V-cycle on the structured refinement
 hierarchy (damped Jacobi smoothing, two pre/post sweeps, one symmetric
 cycle per application: a second cycle saves only ~7% of the PCG iterations
 of the small-shift tail at twice the cost).  For operators that do not come
-with a mesh hierarchy a zero-fill incomplete Cholesky factorization is
-available as a fallback.
+with a mesh hierarchy one symmetric Gauss-Seidel sweep is the fallback.
 """
 
 from __future__ import annotations
 
-import math
 import weakref
 
 import numpy as np
@@ -20,7 +18,7 @@ import scipy.sparse.linalg as spla
 from . import fem
 from .mesh import Mesh, prolongation_matrix, unit_cube_mesh, unit_square_mesh
 
-__all__ = ["MeshHierarchy", "GeometricMultigrid", "IncompleteCholesky"]
+__all__ = ["MeshHierarchy", "GeometricMultigrid", "SymmetricGaussSeidel"]
 
 _hierarchy_cache: "weakref.WeakKeyDictionary[Mesh, MeshHierarchy]" = \
     weakref.WeakKeyDictionary()
@@ -80,96 +78,55 @@ class GeometricMultigrid:
     adjoint transfer operators), hence usable inside preconditioned CG.
     """
 
-    def __init__(self, hierarchy: MeshHierarchy, alpha: float, *,
-                 sweeps: int = 2, omega: float = 0.8):
+    SWEEPS = 2      # damped-Jacobi sweeps before and after the coarse solve
+    OMEGA = 0.8     # their damping factor
+
+    def __init__(self, hierarchy: MeshHierarchy, alpha: float):
         self.hierarchy = hierarchy
-        self.alpha = float(alpha)
-        self.sweeps = sweeps
-        self.omega = omega
         # shifted operators are prebuilt per level; setups are infrequent
-        self._ops = [(A + self.alpha * sp.diags(mh)).tocsr()
+        self._ops = [(A + alpha * sp.diags(mh)).tocsr()
                      for A, mh in zip(hierarchy.stiffness,
                                       hierarchy.lumped_mass)]
-        self._scaled_inv_diag = [self.omega / L.diagonal() for L in self._ops]
+        self._scaled_inv_diag = [self.OMEGA / L.diagonal() for L in self._ops]
         self._coarse_solve = spla.factorized(self._ops[0].tocsc())
-
-    def _op(self, level: int, x: np.ndarray) -> np.ndarray:
-        return self._ops[level] @ x
 
     def _vcycle(self, level: int, b: np.ndarray) -> np.ndarray:
         if level == 0:
             return self._coarse_solve(b)
+        op = self._ops[level]
         wd = self._scaled_inv_diag[level]
         x = wd * b
-        for _ in range(self.sweeps - 1):
-            x += wd * (b - self._op(level, x))
-        r = b - self._op(level, x)
+        for _ in range(self.SWEEPS - 1):
+            x += wd * (b - op @ x)
+        r = b - op @ x
         R = self.hierarchy.restrictions[level]
         x += self.hierarchy.prolongations[level] @ self._vcycle(level - 1,
                                                                 R @ r)
-        for _ in range(self.sweeps):
-            x += wd * (b - self._op(level, x))
+        for _ in range(self.SWEEPS):
+            x += wd * (b - op @ x)
         return x
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self._vcycle(self.hierarchy.n_levels - 1, r)
 
 
-class IncompleteCholesky:
-    """IC(0) approximate inverse of an SPD sparse matrix.
-
-    Fallback preconditioner when no mesh hierarchy is available.  On
-    breakdown the diagonal is boosted and the factorization restarted.
-    """
+class SymmetricGaussSeidel:
+    """One symmetric Gauss-Seidel sweep, ``M^{-1} r`` for ``M = (D + L) D^{-1}
+    (D + L)^T`` with ``D + L`` the lower triangle of ``mat``: the fallback
+    when no mesh hierarchy is available.  M is SPD for every symmetric matrix
+    with a positive diagonal, so nothing can break down (Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., 10.2)."""
 
     def __init__(self, mat: sp.spmatrix):
-        A = sp.csr_matrix(mat)
-        n = A.shape[0]
-        diag = A.diagonal()
-        boost = 0.0
-        for _ in range(40):
-            ok, L = self._factor(A, diag * (1.0 + boost))
-            if ok:
-                break
-            boost = max(2 * boost, 1e-3)
-        else:
-            raise RuntimeError("incomplete Cholesky broke down")
-        self._L = L
-        self._Lt = sp.csr_matrix(L.T)
-        self.n = n
-
-    @staticmethod
-    def _factor(A: sp.csr_matrix, boosted_diag: np.ndarray):
-        n = A.shape[0]
-        indptr, indices, data = A.indptr, A.indices, A.data
-        rows: list[dict[int, float]] = [dict() for _ in range(n)]
-        for i in range(n):
-            start, stop = indptr[i], indptr[i + 1]
-            cols = indices[start:stop]
-            vals = data[start:stop]
-            row_i = rows[i]
-            lower = sorted((int(j), v) for j, v in zip(cols, vals) if j < i)
-            for j, aij in lower:
-                row_j = rows[j]
-                s = aij
-                for t, lit in row_i.items():
-                    ljt = row_j.get(t)
-                    if ljt is not None:
-                        s -= lit * ljt
-                row_i[j] = s / row_j[j]
-            s = boosted_diag[i] - sum(v * v for v in row_i.values())
-            if s <= 0.0:
-                return False, None
-            row_i[i] = math.sqrt(s)
-        rows_idx = np.concatenate([np.full(len(r), i, dtype=np.int64)
-                                   for i, r in enumerate(rows)])
-        cols_idx = np.concatenate([np.fromiter(r.keys(), dtype=np.int64)
-                                   for r in rows])
-        vals = np.concatenate([np.fromiter(r.values(), dtype=float)
-                               for r in rows])
-        L = sp.coo_matrix((vals, (rows_idx, cols_idx)), shape=(n, n)).tocsr()
-        return True, L
+        self._diag = d = mat.diagonal()
+        bad = np.flatnonzero(~(d > 0.0))
+        if bad.size:
+            raise ValueError("symmetric Gauss-Seidel needs a positive "
+                             f"diagonal; entry {bad[0]} is {d[bad[0]]}")
+        self._lower = sp.tril(mat, format="csr")
+        self._upper = sp.triu(mat, format="csr")
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        y = spla.spsolve_triangular(self._L, r, lower=True)
-        return spla.spsolve_triangular(self._Lt, y, lower=False)
+        y = spla.spsolve_triangular(self._lower, r, lower=True)
+        return spla.spsolve_triangular(self._upper, self._diag * y,
+                                       lower=False)

@@ -14,7 +14,7 @@ tridiagonal's eigenvalues, meets it.  ``normalize`` assembles A~
 prescaled, once per stiffness / lumped-mass pair, and reuses it for every
 later family on the same operator.  The remaining (small-shift) systems
 are solved sequentially by preconditioned CG, rebuilding the
-preconditioner whenever the previous system needed more than ``iter_cap``
+preconditioner whenever the previous system needed more than ``_ITER_CAP``
 iterations.  Each system starts from its neighbor's solution, and since
 all systems share the right-hand side its initial residual follows from
 the neighbor's final residual without a matvec; while the solution stays
@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .multigrid import IncompleteCholesky
+from .multigrid import SymmetricGaussSeidel
 
 __all__ = [
     "ShiftedFamily",
@@ -265,6 +265,8 @@ def _pcg(op, x0, r0, prec, tol, maxiter):
 
 # number of earlier tail solutions a minimum-residual start combines
 _HISTORY = 4
+# tail PCG iterations above which the next system rebuilds its preconditioner
+_ITER_CAP = 20
 
 
 class _History:
@@ -356,17 +358,17 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
 
     if prec_factory is None:
         def prec_factory(alpha):
-            return IncompleteCholesky(
+            return SymmetricGaussSeidel(
                 family.A + alpha * sp.diags(family.lumped_mass))
 
     sqrt_mass = 1.0 / family.inv_sqrt_mass
 
-    def wrap(prec_obj):
+    def build(alpha):
         # mesh-space approximate inverse of (A + alpha M_h), mapped to the
         # normalized variables
-        def apply(v):
-            return family.rho * sqrt_mass * prec_obj.apply(sqrt_mass * v)
-        return apply
+        apply = prec_factory(alpha).apply
+        stats.n_prec_setups += 1
+        return lambda v: family.rho * sqrt_mass * apply(sqrt_mass * v)
 
     tol = rtol * norm_b
     x = x_start if x_start is not None else np.zeros(family.n)
@@ -406,8 +408,7 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
                     stats.n_matvec += 1
         freshly_built = False
         if prev_iters > iter_cap:
-            prec = wrap(prec_factory(family.shifts[pos]))
-            stats.n_prec_setups += 1
+            prec = build(family.shifts[pos])
             freshly_built = True
         iters = 0
         if not accepted:
@@ -415,8 +416,7 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
             stats.n_matvec += iters
             if not converged:
                 if not freshly_built:
-                    prec = wrap(prec_factory(family.shifts[pos]))
-                    stats.n_prec_setups += 1
+                    prec = build(family.shifts[pos])
                     x, r, extra, converged = _pcg(op, x, b - op(x), prec,
                                                   tol, maxiter)
                     stats.n_matvec += 1 + extra
@@ -445,7 +445,7 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
 
 
 def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
-                 n_max=500, iter_cap=20, prec_factory=None, weights=None):
+                 n_max=500, prec_factory=None, weights=None):
     """Solve (A + alpha_l M_h) V^l = Z for every shift.
 
     The leading (large) shifts are solved in one Lanczos basis of at most
@@ -477,7 +477,7 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
             f"rtol = 0 leaves {family.n_shifts - n_solved} systems to PCG, "
             "which cannot meet a zero tolerance; pass rtol > 0")
     tail, pcg = solve_preconditioned(
-        family, n_solved, iter_cap, rtol, prec_factory=prec_factory,
+        family, n_solved, _ITER_CAP, rtol, prec_factory=prec_factory,
         x_start=x_start, weights=weights)
     stats = SolveStats(
         iterations={**{family.labels[i]: n_basis for i in range(n_solved)},

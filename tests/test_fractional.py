@@ -173,14 +173,18 @@ class TestFractionalSolve:
         diff = NodalFunction(mesh, res.u.values - oracle.values)
         assert l2_norm(diff) <= 3e-2 * l2_norm(oracle)
 
-    def test_ic0_tail_on_unstructured_mesh(self, tmp_path):
+    @pytest.mark.parametrize("make, m", [(unit_square_mesh, 16),
+                                         (unit_cube_mesh, 6)],
+                             ids=["square", "cube"])
+    def test_sgs_tail_on_unstructured_mesh(self, tmp_path, make, m):
         # perturbed interior vertices: the mesh reads back without its grid
-        # structure, so the PCG tail runs on the default IC(0) preconditioner
-        grid = unit_square_mesh(16)
+        # structure, so the PCG tail runs on the default symmetric
+        # Gauss-Seidel preconditioner
+        grid = make(m)
         vertices = grid.vertices.copy()
         rng = np.random.default_rng(0)
         vertices[grid.interior] += 0.1 * grid.h * rng.uniform(
-            -1.0, 1.0, (grid.n_interior, 2))
+            -1.0, 1.0, (grid.n_interior, grid.dim))
         path = tmp_path / "perturbed.txt"
         write_mesh(dataclasses.replace(grid, vertices=vertices), path)
         mesh = read_mesh(path)

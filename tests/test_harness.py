@@ -114,6 +114,14 @@ class TestProlongationExactness:
         assert l2_norm(vf) == pytest.approx(l2_norm(vc), rel=1e-12)
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("dim", [1, 4, 7])
+    def test_rejects_unsupported_dim(self, dim):
+        # every dim other than 2 used to run silently on the cube
+        with pytest.raises(ValueError, match="dim"):
+            ExperimentConfig(dim=dim)
+
+
 class TestStateConvergence:
     def test_small_study_structure_and_determinism(self, tmp_path):
         cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3), ref_level=5,
@@ -299,6 +307,15 @@ class TestCli:
         code = main(["solve", "--level", "3", "--out", str(out)] + argv)
         assert code == 1
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", ["1", "4"])
+    def test_solve_rejects_unsupported_dim(self, tmp_path, capsys, dim):
+        # it used to write a 3D solve whose summary reported the given dim
+        out = tmp_path / "run"
+        code = main(["solve", "--dim", dim, "--level", "2", "--out", str(out)])
+        assert code == 1
+        assert "dim must be 2 or 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_solve_rejected_by_the_solver_leaves_no_output(self, tmp_path,

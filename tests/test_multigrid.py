@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fraclap import (GeometricMultigrid, IncompleteCholesky, MeshHierarchy,
+from fraclap import (GeometricMultigrid, MeshHierarchy, SymmetricGaussSeidel,
                      unit_cube_mesh, unit_square_mesh)
 from fraclap.fem import operators
 
@@ -74,22 +74,42 @@ class TestGeometricMultigrid:
         assert np.linalg.norm(x - x_true) / np.linalg.norm(x_true) < 0.2
 
 
-class TestIncompleteCholesky:
+class TestSymmetricGaussSeidel:
+    def _fem_matrix(self):
+        mesh = unit_square_mesh(12)
+        ops = operators(mesh)
+        return (ops.stiffness + 0.5 * sp.diags(ops.lumped_mass)).tocsr()
+
     def test_exact_on_diagonal(self):
         rng = np.random.default_rng(3)
         d = rng.uniform(0.5, 3.0, 25)
-        prec = IncompleteCholesky(sp.diags(d).tocsr())
+        prec = SymmetricGaussSeidel(sp.diags(d).tocsr())
         v = rng.standard_normal(25)
         np.testing.assert_allclose(prec.apply(v), v / d, rtol=1e-12)
 
     def test_strong_preconditioner_for_fem_matrix(self):
-        mesh = unit_square_mesh(12)
-        ops = operators(mesh)
-        A = (ops.stiffness + 0.5 * sp.diags(ops.lumped_mass)).tocsr()
-        prec = IncompleteCholesky(A)
+        A = self._fem_matrix()
+        prec = SymmetricGaussSeidel(A)
         rng = np.random.default_rng(4)
-        v = rng.standard_normal(mesh.n_interior)
+        v = rng.standard_normal(A.shape[0])
         # SPD on probes and a genuine approximate inverse
         assert v @ prec.apply(v) > 0.0
         x = prec.apply(A @ v)
         assert np.linalg.norm(x - v) / np.linalg.norm(v) < 0.6
+
+    def test_symmetric_on_probes(self):
+        A = self._fem_matrix()
+        prec = SymmetricGaussSeidel(A)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            v = rng.standard_normal(A.shape[0])
+            w = rng.standard_normal(A.shape[0])
+            assert w @ prec.apply(v) == pytest.approx(v @ prec.apply(w),
+                                                      rel=1e-10)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_diagonal_raises(self, bad):
+        d = np.ones(6)
+        d[3] = bad
+        with pytest.raises(ValueError, match="entry 3"):
+            SymmetricGaussSeidel(sp.diags(d).tocsr())

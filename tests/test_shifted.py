@@ -332,7 +332,8 @@ class TestSequentialPCG:
         Z = rng.standard_normal(n)
         shifts = np.array([1e-3, 1e-4, 1e-5])
         fam = normalize(A, np.ones(n), shifts, Z)
-        # cap 0 rebuilds for every shift; IC(0) of a diagonal matrix is exact
+        # cap 0 rebuilds for every shift; symmetric Gauss-Seidel on a diagonal
+        # matrix is exact
         sols, stats = solve_preconditioned(fam, 0, 0, 1e-12)
         assert all(v <= 1 for v in stats.iterations.values())
         for x, alpha in zip(sols, fam.shifts):
