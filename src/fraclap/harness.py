@@ -56,6 +56,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim!r}")
+        if self.threads < 1:
+            raise ValueError(
+                f"threads must be at least 1, got {self.threads!r}")
         if self.levels and self.ref_level <= max(self.levels):
             raise ValueError("the reference level must exceed every study level")
 

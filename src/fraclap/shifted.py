@@ -11,9 +11,14 @@ the basis grows until the smallest shift's residual, tracked by one scalar
 recurrence, meets the tolerance; when it stops at ``n_max`` vectors
 instead, the solved shifts are the leading ones whose residual, read off the
 tridiagonal's eigenvalues, meets it.  ``normalize`` assembles A~
-prescaled, once per stiffness / lumped-mass pair, and reuses it for every
-later family on the same operator.  The remaining (small-shift) systems
-are solved sequentially by preconditioned CG, rebuilding the
+prescaled, once per stiffness matrix (again only when the lumped mass
+changes), and reuses it for every later family on the same operator.  A~ is
+stored as a DIA matrix when its nonzeros lie on a few diagonals, as on the
+grid meshes (``multigrid._band_offsets``): the same bits as CSR, at memory
+speed.  Each operator also keeps one spare Lanczos basis, which a scan pops
+and returns, so repeated solves do not fault in a fresh basis; the
+recurrence updates its vectors in place.  The remaining (small-shift)
+systems are solved sequentially by preconditioned CG, rebuilding the
 preconditioner whenever the previous system needed more than ``_ITER_CAP``
 iterations.  Each system starts from its neighbor's solution, and since
 all systems share the right-hand side its initial residual follows from
@@ -31,6 +36,7 @@ their weighted combination.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -38,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .multigrid import SymmetricGaussSeidel
+from . import multigrid
 
 __all__ = [
     "ShiftedFamily",
@@ -74,13 +80,15 @@ class SolveStats:
 class ShiftedFamily:
     """Normalized shifted family, shifts sorted by decreasing magnitude.
 
-    ``A_scaled`` is the prescaled operator A~ as a CSR matrix, so that
+    ``A_scaled`` is the prescaled operator A~, banded (DIA) when its
+    nonzeros lie on a few diagonals and CSR otherwise, so that
     ``apply_scaled`` (used by the Lanczos scan and by PCG) is one sparse
-    matvec.
+    matvec.  ``spare`` is the operator's spare Lanczos basis, shared by every
+    family on it, under the key ``"Q"`` while no scan holds it.
     """
 
     A: sp.csr_matrix
-    A_scaled: sp.csr_matrix       # (1/rho) M_h^{-1/2} A M_h^{-1/2}
+    A_scaled: sp.spmatrix         # (1/rho) M_h^{-1/2} A M_h^{-1/2}
     lumped_mass: np.ndarray
     rho: float
     shifts: np.ndarray            # original alpha_l, decreasing
@@ -89,6 +97,7 @@ class ShiftedFamily:
     rhs: np.ndarray
     rhs_scaled: np.ndarray        # (1/rho) M_h^{-1/2} Z
     inv_sqrt_mass: np.ndarray
+    spare: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -107,37 +116,57 @@ class ShiftedFamily:
         return v_scaled * self.inv_sqrt_mass
 
 
-# scaled operator per (stiffness, lumped mass) pair of objects, which are
-# treated as immutable: the repeated solves on one mesh scale it once.  An
-# entry is dropped when its stiffness matrix is garbage collected.
+# scaled operator per stiffness matrix object, with the lumped mass object
+# it was scaled with; both are treated as immutable.  The repeated solves on
+# one mesh scale it once, a solve with another mass replaces the entry, and
+# the entry is dropped, with its spare basis, when its stiffness matrix is
+# garbage collected.  The lock makes the check and the build one step.
 _scaled_cache: dict = {}
+_scaled_lock = threading.Lock()
 
 
 def _scale_operator(A: sp.csr_matrix, lumped_mass: np.ndarray):
-    """``(A~, rho, d)``: A~ = (1/rho) diag(d) A diag(d) as CSR, d = M_h^{-1/2},
-    and rho the sup-norm of diag(d) A diag(d)."""
+    """``(A~, rho, d)``: A~ = (1/rho) diag(d) A diag(d), banded when it can
+    be, d = M_h^{-1/2}, and rho the sup-norm of diag(d) A diag(d)."""
     d = 1.0 / np.sqrt(lumped_mass)
     scaled = sp.csr_matrix(sp.diags(d) @ A @ sp.diags(d))
     rho = float(np.max(np.abs(scaled).sum(axis=1)))
-    scaled.data /= rho
-    return scaled, rho, d
+    offsets = multigrid._band_offsets(scaled)
+    if offsets is None or not A.has_canonical_format:
+        scaled.data /= rho
+        return scaled, rho, d
+    # the banded A~ is filled from A once the CSR one is freed, so that the
+    # process never holds both; each entry is rounded as in the CSR one,
+    # (d_i a_ij) d_j / rho
+    del scaled
+    banded = multigrid._dia(A, offsets)
+    n = A.shape[0]
+    for row, k in zip(banded.data, offsets):
+        lo, hi = max(k, 0), min(n + k, n)       # columns of diagonal k
+        entries = row[lo:hi]
+        np.multiply(d[lo - k:hi - k], entries, out=entries)
+        entries *= d[lo:hi]
+        entries /= rho
+    return banded, rho, d
 
 
 def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
               Z: np.ndarray, labels=None) -> ShiftedFamily:
     """Scale the family to identity shifts with unit operator sup-norm."""
-    key = (id(A), id(lumped_mass))
-    entry = _scaled_cache.get(key)
-    if entry is None:
-        mass = np.asarray(lumped_mass, dtype=float)
-        if np.any(mass <= 0):
-            raise ValueError("lumped mass must be strictly positive")
-        A_csr = sp.csr_matrix(A)
-        # the entry holds lumped_mass, so its id cannot be reused meanwhile
-        entry = (lumped_mass, A_csr, mass) + _scale_operator(A_csr, mass)
-        _scaled_cache[key] = entry
-        weakref.finalize(A, _scaled_cache.pop, key, None)
-    _, A, lumped_mass, scaled, rho, d = entry
+    key = id(A)
+    with _scaled_lock:
+        entry = _scaled_cache.get(key)
+        if entry is None or entry[0] is not lumped_mass:
+            mass = np.asarray(lumped_mass, dtype=float)
+            if np.any(mass <= 0):
+                raise ValueError("lumped mass must be strictly positive")
+            A_csr = sp.csr_matrix(A)
+            if entry is None:
+                weakref.finalize(A, _scaled_cache.pop, key, None)
+            entry = (lumped_mass, A_csr, mass) \
+                + _scale_operator(A_csr, mass) + ({},)
+            _scaled_cache[key] = entry
+    _, A, lumped_mass, scaled, rho, d, spare = entry
     shifts = np.asarray(shifts, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if labels is None:
@@ -149,37 +178,50 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
         A=A, A_scaled=scaled, lumped_mass=lumped_mass, rho=rho,
         shifts=shifts[order], shifts_scaled=shifts[order] / rho,
         labels=labels[order], rhs=Z, rhs_scaled=d * Z / rho,
-        inv_sqrt_mass=d)
+        inv_sqrt_mass=d, spare=spare)
 
 
 def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float):
     """Lanczos basis of A~ from the scaled right-hand side.
 
-    Returns ``(Q, a, b, done)``: the basis rows, the diagonal ``a`` and the
-    off-diagonal ``b`` of the tridiagonal, with ``b[-1]`` the norm of the
-    last residual.  One scalar LDL^T recurrence, for the smallest shift,
-    decides when to stop: a shift's residual decreases with the shift, so
-    once the smallest shift meets ``tol_abs`` every shift does.  The basis
-    then stops with ``done`` set, and so it does on an invariant subspace;
-    otherwise it stops at ``n_max`` vectors.  A non-positive pivot of the
+    Returns ``(Q, a, b, done)``: the basis, whose first ``len(a)`` rows are
+    the basis vectors, the diagonal ``a`` and the off-diagonal ``b`` of the
+    tridiagonal, with ``b[-1]`` the norm of the last residual.  ``Q`` is the
+    operator's spare basis, popped from ``family.spare`` for the scan (the
+    caller puts it back), or a new one when a concurrent scan holds it or
+    it has fewer than ``n_max`` rows.
+
+    One scalar LDL^T recurrence, for the smallest shift, decides when to
+    stop: a shift's residual decreases with the shift, so once the smallest
+    shift meets ``tol_abs`` every shift does.  The basis then stops with
+    ``done`` set, and so it does on an invariant subspace; otherwise it
+    stops at ``n_max`` vectors.  A non-positive pivot of the
     smallest shift means the operator is not positive definite.
     """
     z = family.rhs_scaled
     beta0 = float(np.linalg.norm(z))
     sigma = family.shifts_scaled[-1]
-    Q = np.empty((n_max, family.n))
+    Q = family.spare.pop("Q", None)
+    if Q is None or Q.shape[0] < n_max:
+        Q = None                        # free a spare too small first
+        Q = np.empty((n_max, family.n))
     a = np.empty(n_max)
     b = np.empty(n_max)
+    tmp = np.empty(family.n)
     np.divide(z, beta0, out=Q[0])
     c = beta0
     for j in range(n_max):
         q = Q[j]
         w = family.apply_scaled(q)
+        # the products of ``w -= b * Q[j - 1]`` and ``w -= a * q`` in place,
+        # with the same rounding (no fused multiply-add)
         if j > 0:
-            w -= b[j - 1] * Q[j - 1]
+            np.multiply(b[j - 1], Q[j - 1], out=tmp)
+            w -= tmp
         a[j] = q @ w
-        w -= a[j] * q
-        b[j] = np.linalg.norm(w)
+        np.multiply(a[j], q, out=tmp)
+        w -= tmp
+        b[j] = math.sqrt(w @ w)         # np.linalg.norm(w), bit for bit
         if j == 0:
             d = a[0] + sigma
         else:
@@ -190,7 +232,7 @@ def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float):
             raise RuntimeError(
                 "shifted CG breakdown: operator is not positive definite")
         if abs(c) / d * b[j] <= tol_abs or b[j] < 1e-300:
-            return Q[:j + 1], a[:j + 1], b[:j + 1], True
+            return Q, a[:j + 1], b[:j + 1], True
         if j + 1 < n_max:
             np.divide(w, b[j], out=Q[j + 1])
     return Q, a, b, False
@@ -214,7 +256,8 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
         head = np.zeros(family.n) if weights is not None else \
             np.zeros((S, family.n))
         return S, 0, head, None
-    Q, a, b, done = _lanczos(family, n_max, tol_abs)
+    basis, a, b, done = _lanczos(family, n_max, tol_abs)
+    Q = basis[:len(a)]
     theta, V = eigh_tridiagonal(a, b[:-1])
     n_solved = S
     if not done:
@@ -231,6 +274,7 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
     else:
         head = (V @ G).T @ Q
     x_last = (V @ G[:, -1]) @ Q if 0 < n_solved < S else None
+    family.spare["Q"] = basis           # done with it: the next scan's spare
     return n_solved, len(Q), head, x_last
 
 
@@ -358,7 +402,7 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
 
     if prec_factory is None:
         def prec_factory(alpha):
-            return SymmetricGaussSeidel(
+            return multigrid.SymmetricGaussSeidel(
                 family.A + alpha * sp.diags(family.lumped_mass))
 
     sqrt_mass = 1.0 / family.inv_sqrt_mass

@@ -1,0 +1,233 @@
+"""Banded (DIA) storage of the grid operators and the reused Lanczos basis:
+both must leave every output bit unchanged."""
+
+import dataclasses
+import sys
+import threading
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from fraclap import (GeometricMultigrid, MeshHierarchy, interpolate,
+                     multigrid, normalize, read_mesh, solve_all_shifted,
+                     solve_family, unit_cube_mesh, unit_square_mesh,
+                     write_mesh)
+from fraclap.fem import operators
+from fraclap.fractional import SolveOptions, fractional_solve
+
+# small enough that every solve below has a PCG tail
+N_MAX = 20
+
+
+def solve_everything(mesh, s):
+    """``fractional_solve``'s u and stats, ``solve_all_shifted``'s rows and
+    stats, with a PCG tail and (on a mesh with a hierarchy) V-cycles."""
+    opts = SolveOptions(n_max=N_MAX)
+    z = interpolate(mesh, lambda p: np.sin(np.pi * p).prod(axis=1) + p[:, 0])
+    res = fractional_solve(mesh, s, z, opts)
+    rows, stats, _ = solve_all_shifted(mesh, s, z, opts)
+    assert res.stats.n_alg2 > 0 and res.stats.n_prec_setups > 0
+    return (res.u.values, dataclasses.asdict(res.stats), rows,
+            dataclasses.asdict(stats))
+
+
+def perturbed_square(tmp_path, m, renumber=False):
+    """A jittered unit_square_mesh(m), read back without its grid
+    structure; with ``renumber`` its vertices are listed in random
+    order."""
+    grid = unit_square_mesh(m)
+    rng = np.random.default_rng(0)
+    vertices = grid.vertices.copy()
+    vertices[grid.interior] += 0.1 * grid.h * rng.uniform(
+        -1.0, 1.0, (grid.n_interior, 2))
+    cells = grid.cells
+    if renumber:
+        perm = rng.permutation(grid.n_vertices)     # new -> old
+        vertices = vertices[perm]
+        cells = np.argsort(perm)[cells]
+    path = tmp_path / f"perturbed{m}.txt"
+    write_mesh(dataclasses.replace(grid, vertices=vertices, cells=cells),
+               path)
+    mesh = read_mesh(path)
+    assert mesh.cells_per_side is None
+    return mesh
+
+
+class TestBitwiseParity:
+    # square 64 and cube 16 are the smallest grids whose hierarchy has a
+    # smoothed (banded) level above the coarse direct solve; cube 8 is
+    # below the band rule and stays CSR.  The perturbed mesh, in grid order,
+    # is banded too, and its lumped mass varies, so it checks the rounding
+    # of the scaled operator's entries; its tail runs symmetric Gauss-Seidel
+    @pytest.mark.parametrize("build, banded", [
+        (lambda tmp: unit_square_mesh(32), (True, False)),
+        (lambda tmp: unit_square_mesh(64), (True, True)),
+        (lambda tmp: unit_cube_mesh(8), (False, False)),
+        (lambda tmp: unit_cube_mesh(16), (True, True)),
+        (lambda tmp: perturbed_square(tmp, 32), (True, False)),
+    ], ids=["square32", "square64", "cube8", "cube16", "perturbed32"])
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+    def test_same_bits_as_csr(self, monkeypatch, tmp_path, build, banded,
+                              s):
+        # fresh meshes: the scaled operator is cached per stiffness matrix
+        with monkeypatch.context() as patch:
+            patch.setattr(multigrid, "_band_offsets", lambda mat: None)
+            csr = solve_everything(build(tmp_path), s)
+        mesh = build(tmp_path)
+        got = solve_everything(mesh, s)
+        for value, want in zip(got, csr):
+            if isinstance(want, dict):
+                assert value == want
+            else:
+                np.testing.assert_array_equal(value, want)
+        # which operators were banded: A~, and the finest V-cycle level
+        ops = operators(mesh)
+        family = normalize(ops.stiffness, ops.lumped_mass, np.ones(1),
+                           np.ones(mesh.n_interior))
+        assert sp.isspmatrix_dia(family.A_scaled) == banded[0]
+        if mesh.cells_per_side is not None:
+            gmg = GeometricMultigrid(MeshHierarchy.for_mesh(mesh), 0.1)
+            assert sp.isspmatrix_dia(gmg._ops[-1]) == banded[1]
+
+
+class TestBandRule:
+    def test_grid_operators_are_banded(self):
+        for mesh, n_diagonals in ((unit_square_mesh(16), 5),
+                                  (unit_cube_mesh(16), 7)):
+            A = operators(mesh).stiffness
+            D = multigrid._banded(A)
+            assert sp.isspmatrix_dia(D)
+            assert D.offsets.size == n_diagonals
+            assert np.all(np.diff(D.offsets) > 0)
+            x = np.random.default_rng(0).standard_normal(A.shape[0])
+            np.testing.assert_array_equal(D @ x, A @ x)
+
+    def test_perturbed_mesh_in_grid_order_is_banded(self, tmp_path):
+        # the diagonal couplings that vanish on the grid no longer do: 7
+        # diagonals, still within the rule
+        A = operators(perturbed_square(tmp_path, 16)).stiffness
+        D = multigrid._banded(A)
+        assert sp.isspmatrix_dia(D) and D.offsets.size == 7
+        x = np.random.default_rng(2).standard_normal(A.shape[0])
+        np.testing.assert_array_equal(D @ x, A @ x)
+
+    def test_renumbered_perturbed_mesh_keeps_csr(self, tmp_path):
+        mesh = perturbed_square(tmp_path, 16, renumber=True)
+        ops = operators(mesh)
+        assert multigrid._banded(ops.stiffness) is ops.stiffness
+        family = normalize(ops.stiffness, ops.lumped_mass, np.ones(1),
+                           np.ones(mesh.n_interior))
+        assert sp.isspmatrix_csr(family.A_scaled)
+
+    def test_random_pattern_gives_up_after_the_first_block(self,
+                                                           monkeypatch):
+        n = 3 * multigrid._BAND_ROWS
+        rng = np.random.default_rng(1)
+        B = sp.random(n, n, density=4.0 / n, random_state=rng, format="csr")
+        mat = (B + B.T + 10.0 * sp.eye(n)).tocsr()
+        mat.sort_indices()
+        blocks = []
+        union1d = np.union1d
+
+        def counted(*args):
+            blocks.append(1)
+            return union1d(*args)
+
+        def no_dia(*args, **kwargs):
+            raise AssertionError("a DIA matrix was built")
+
+        monkeypatch.setattr(np, "union1d", counted)
+        monkeypatch.setattr(mat, "diagonal", no_dia)
+        monkeypatch.setattr(sp, "dia_matrix", no_dia)
+        assert multigrid._banded(mat) is mat
+        assert len(blocks) == 1
+
+    def test_unsorted_indices_keep_csr(self):
+        # a DIA matvec would add the products in another order
+        A = operators(unit_square_mesh(8)).stiffness.copy()
+        A.indices[:3] = A.indices[2::-1].copy()
+        A.data[:3] = A.data[2::-1].copy()
+        A.has_sorted_indices = False
+        assert multigrid._banded(A) is A
+
+
+class TestSpareBasis:
+    def test_scans_reuse_one_basis(self):
+        mesh = unit_square_mesh(16)
+        ops = operators(mesh)
+        shifts = np.array([10.0, 1.0, 0.1])
+        Z = np.ones(mesh.n_interior)
+        spare = normalize(ops.stiffness, ops.lumped_mass, shifts, Z).spare
+        solve_family(ops.stiffness, ops.lumped_mass, shifts, Z, n_max=30)
+        first = spare["Q"]
+        assert first.shape == (30, mesh.n_interior)
+        solve_family(ops.stiffness, ops.lumped_mass, shifts, 2 * Z, n_max=20)
+        assert spare["Q"] is first
+        # a spare with too few rows is replaced
+        solve_family(ops.stiffness, ops.lumped_mass, shifts, Z, n_max=40)
+        assert spare["Q"].shape == (40, mesh.n_interior)
+
+    def test_later_solves_do_not_change_earlier_results(self):
+        mesh = unit_square_mesh(32)
+        rng = np.random.default_rng(5)
+        opts = SolveOptions(n_max=N_MAX)
+        u = fractional_solve(mesh, 0.5, rng.standard_normal(mesh.n_interior),
+                             opts).u.values
+        rows, _, _ = solve_all_shifted(
+            mesh, 0.5, rng.standard_normal(mesh.n_interior), opts)
+        ops = operators(mesh)
+        head, _ = solve_family(ops.stiffness, ops.lumped_mass,
+                               np.array([50.0, 20.0]),
+                               rng.standard_normal(mesh.n_interior))
+        kept = [u.copy(), rows.copy(), head.copy()]
+        for _ in range(2):
+            fractional_solve(mesh, 0.5, rng.standard_normal(mesh.n_interior),
+                             opts)
+            solve_all_shifted(mesh, 0.5,
+                              rng.standard_normal(mesh.n_interior), opts)
+            solve_family(ops.stiffness, ops.lumped_mass,
+                         np.array([50.0, 20.0]),
+                         rng.standard_normal(mesh.n_interior))
+        for got, want in zip((u, rows, head), kept):
+            np.testing.assert_array_equal(got, want)
+
+    def test_concurrent_solves_match_the_serial_run(self):
+        # more threads than cores, switching often: a scan that found the
+        # spare taken must allocate its own basis rather than share one
+        mesh = unit_square_mesh(32)
+        rng = np.random.default_rng(11)
+        rhs = [rng.standard_normal(mesh.n_interior) for _ in range(3)]
+        opts = [SolveOptions(), SolveOptions(n_max=N_MAX)]
+
+        def solve(z):
+            return [fractional_solve(mesh, 0.5, z, o).u.values for o in opts]
+
+        serial = [solve(z) for z in rhs]
+        results, errors = [[] for _ in rhs], []
+
+        def work(i):
+            try:
+                for _ in range(3):
+                    results[i].append(solve(rhs[i]))
+            except Exception as exc:                # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(rhs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        for runs, want in zip(results, serial):
+            assert len(runs) == 3
+            for run in runs:
+                for got, expected in zip(run, want):
+                    np.testing.assert_array_equal(got, expected)

@@ -121,6 +121,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="dim"):
             ExperimentConfig(dim=dim)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_rejects_threads_below_one(self, threads):
+        # such a count used to run the jobs serially
+        with pytest.raises(ValueError, match="threads"):
+            ExperimentConfig(threads=threads)
+
 
 class TestStateConvergence:
     def test_small_study_structure_and_determinism(self, tmp_path):
@@ -284,6 +290,19 @@ class TestCli:
                      "--ref-level", "3"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["state-conv", "--s", "0.5", "--levels", "2", "--ref-level", "3"],
+        ["solver-stats", "--s", "0.5", "--levels", "2"],
+    ], ids=["state-conv", "solver-stats"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_rejects_threads_below_one(self, tmp_path, capsys, argv,
+                                       threads):
+        out = tmp_path / "run"
+        code = main(argv + ["--threads", threads, "--out", str(out)])
+        assert code == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["control-conv", "--threads", "2"],

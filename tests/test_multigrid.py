@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fraclap import (GeometricMultigrid, MeshHierarchy, SymmetricGaussSeidel,
                      unit_cube_mesh, unit_square_mesh)
@@ -106,6 +107,22 @@ class TestSymmetricGaussSeidel:
             w = rng.standard_normal(A.shape[0])
             assert w @ prec.apply(v) == pytest.approx(v @ prec.apply(w),
                                                       rel=1e-10)
+
+    def test_matches_two_triangular_solves(self):
+        A = self._fem_matrix()
+        # a random symmetric renumbering, as on a mesh without grid order
+        perm = np.random.default_rng(8).permutation(A.shape[0])
+        A = A[perm][:, perm].tocsr()
+        prec = SymmetricGaussSeidel(A)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            r = rng.standard_normal(A.shape[0])
+            y = spla.spsolve_triangular(sp.tril(A, format="csr"), r,
+                                        lower=True)
+            want = spla.spsolve_triangular(sp.triu(A, format="csr"),
+                                           A.diagonal() * y, lower=False)
+            np.testing.assert_allclose(prec.apply(r), want, rtol=0,
+                                       atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_non_positive_diagonal_raises(self, bad):

@@ -1,11 +1,13 @@
 """Shifted-family normalization, multishift CG, and sequential PCG."""
 
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from fraclap import normalize, shifted, solve_family, unit_square_mesh
-from fraclap.fem import operators
+from fraclap.fem import lump_mass, operators
 from fraclap.fractional import quadrature_for_mesh, sinc_quadrature
 from fraclap.harness import hat_rhs
 from fraclap.shifted import _head, solve_preconditioned
@@ -72,6 +74,31 @@ class TestNormalize:
                                rtol=1e-14)
         expected = Z / (4.0 + alphas * 0.125)
         np.testing.assert_allclose(sols[:, 0], expected, rtol=1e-12)
+
+    def test_cache_keeps_one_entry_per_stiffness(self):
+        mesh = unit_square_mesh(8)
+        ops = operators(mesh)
+        shifts = np.array([2.0, 0.5])
+        gc.collect()        # earlier tests' matrices drop their entries
+        before = len(shifted._scaled_cache)
+        for _ in range(5):
+            # a new lumped-mass array on every call
+            solve_family(ops.stiffness, lump_mass(ops.mass), shifts,
+                         np.ones(mesh.n_interior))
+        assert len(shifted._scaled_cache) <= before + 1
+        assert id(ops.stiffness) in shifted._scaled_cache
+
+    def test_another_mass_gives_the_bits_of_a_fresh_operator(self):
+        mesh = unit_square_mesh(8)
+        ops = operators(mesh)
+        shifts = np.array([2.0, 0.5, 1e-3])
+        Z = np.ones(mesh.n_interior)
+        other = ops.lumped_mass * np.linspace(0.5, 2.0, mesh.n_interior)
+        solve_family(ops.stiffness, ops.lumped_mass, shifts, Z, n_max=5)
+        got, _ = solve_family(ops.stiffness, other, shifts, Z, n_max=5)
+        want, _ = solve_family(ops.stiffness.copy(), other, shifts, Z,
+                               n_max=5)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestMultishift:
