@@ -99,6 +99,8 @@ def _add_flags(parser: argparse.ArgumentParser, names):
 
 
 def _resolve(args: argparse.Namespace, command: str, names) -> dict:
+    """Every ``_COMMON`` value, and under ``"given"`` the names that a flag
+    or the config file set."""
     file_vals = {}
     if args.config:
         file_vals = read_config_file(args.config)
@@ -108,7 +110,8 @@ def _resolve(args: argparse.Namespace, command: str, names) -> dict:
         if unknown:
             raise ValueError(f"{command} does not take config key(s): "
                              + ", ".join(unknown))
-    out = {}
+    out = {"given": {name for name in _COMMON if name in file_vals
+                     or getattr(args, name, None) is not None}}
     for name, (parse, default) in _COMMON.items():
         raw = getattr(args, name, None)
         if raw is None and name in file_vals:
@@ -162,6 +165,10 @@ def _cmd_solve(vals: dict) -> int:
         raise ValueError("solve takes a single value of --s")
     if vals["post_process"] and vals["mode"] != ctl.FULLY_DISCRETE:
         raise ValueError("--post-process needs --mode p0")
+    if vals["mode"] is None:
+        for name in ("mu", "a", "b", "tol"):
+            if name in vals["given"]:
+                raise ValueError(f"--{name} needs --mode")
     _experiment_config(vals)            # rejects a dim other than 2 or 3
     m = 2 ** vals["level"]
     mesh = unit_square_mesh(m) if vals["dim"] == 2 else unit_cube_mesh(m)

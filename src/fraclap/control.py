@@ -46,6 +46,9 @@ __all__ = [
 VARIATIONAL = "variational"
 FULLY_DISCRETE = "p0"
 
+# projected gradient steps before the active-set polish takes over
+_MAX_ITERATIONS = 5000
+
 
 @dataclass(eq=False)
 class ControlProblem:
@@ -59,7 +62,6 @@ class ControlProblem:
     desired: NodalFunction
     mode: str = VARIATIONAL
     options: SolveOptions = field(default_factory=SolveOptions)
-    max_iterations: int = 5000
 
     def __post_init__(self):
         if not self.lower <= 0.0 <= self.upper:
@@ -208,7 +210,7 @@ def _solve(problem: ControlProblem, tol: float,
     res_window: list[float] = []
     it = 0
 
-    while it < problem.max_iterations:
+    while it < _MAX_ITERATIONS:
         res = _stationarity(z, g, lo, up)
         residual_history.append(res)
         if res <= threshold:

@@ -356,6 +356,9 @@ def run_control_convergence(config: ExperimentConfig) -> dict:
     """
     if config.dim != 2:
         raise ValueError("the control study is defined on the unit square")
+    if config.threads != 1:
+        raise ValueError("the control study runs its solves in sequence; "
+                         f"threads must be 1, got {config.threads}")
     ms = [2 ** lv for lv in config.levels]
     m_ref = 2 ** config.ref_level
     meshes = {m: _mesh(config.dim, m) for m in _chain_sizes(ms, m_ref)}

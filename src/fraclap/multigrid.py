@@ -7,9 +7,11 @@ of the small-shift tail at twice the cost).  For operators that do not come
 with a mesh hierarchy one symmetric Gauss-Seidel sweep is the fallback.
 
 Operators whose nonzeros lie on a few diagonals, as the grid operators do
-(5 in 2D, 7 in 3D), are stored as DIA matrices (``_banded``): their matvec
-reads no column indices and adds each row's products in the same order as
-the CSR matvec, so it is faster and gives the same bits.
+(5 in 2D, 7 in 3D), are stored as DIA matrices: their matvec reads no
+column indices and adds each row's products in the same order as the CSR
+matvec, so it is faster and gives the same bits.  ``_banded`` is the one
+place that decides on that storage and builds it, here for the V-cycle
+levels and in ``shifted`` for the scaled operator.
 """
 
 from __future__ import annotations
@@ -25,55 +27,30 @@ from .mesh import Mesh, prolongation_matrix, unit_cube_mesh, unit_square_mesh
 
 __all__ = ["MeshHierarchy", "GeometricMultigrid", "SymmetricGaussSeidel"]
 
-# rows whose diagonal offsets ``_band_offsets`` counts at a time
-_BAND_ROWS = 4096
 
+def _banded(mat: sp.csr_matrix):
+    """``mat`` as a DIA matrix when its entries lie on few diagonals
+    (``n_diagonals * n <= 1.1 * nnz``), else ``mat`` itself.
 
-def _band_offsets(mat: sp.csr_matrix):
-    """The ascending offsets of the diagonals that hold ``mat``'s entries
-    when ``n_diagonals * n <= 1.1 * nnz``, else None.
-
-    The offsets are counted one block of rows at a time, so a matrix that
-    breaks the rule is given up at the first block that shows it, before
-    anything of size nnz is built.  Only a canonical CSR matrix (sorted
-    indices, no duplicates) qualifies: the DIA matvec adds a row's products
-    in ascending offset order, the CSR one in stored column order, so with
-    sorted indices both give the same bits (the padding adds zeros).
+    Only a canonical CSR matrix (sorted indices, no duplicates) qualifies:
+    the DIA matvec adds a row's products in ascending offset order, the CSR
+    one in stored column order, so with sorted indices both give the same
+    bits (the padding adds zeros).
     """
     n = mat.shape[0]
     if mat.shape[1] != n or n == 0 or not mat.has_canonical_format:
-        return None
-    limit = 1.1 * mat.nnz
-    indptr, indices = mat.indptr, mat.indices
-    offsets = np.empty(0, dtype=np.int64)
-    for start in range(0, n, _BAND_ROWS):
-        stop = min(start + _BAND_ROWS, n)
-        rows = np.repeat(np.arange(start, stop),
-                         np.diff(indptr[start:stop + 1]))
-        offsets = np.union1d(offsets,
-                             indices[indptr[start]:indptr[stop]] - rows)
-        if offsets.size * n > limit:
-            return None
-    return offsets
-
-
-def _dia(mat: sp.csr_matrix, offsets: np.ndarray) -> sp.dia_matrix:
-    """``mat`` as a DIA matrix on the given diagonals, which must hold all
-    its entries."""
-    n = mat.shape[0]
+        return mat
+    # the entries' offsets j - i, in the index dtype to keep the copies small
+    offsets = np.unique(mat.indices - np.repeat(
+        np.arange(n, dtype=mat.indices.dtype), np.diff(mat.indptr)))
+    if offsets.size * n > 1.1 * mat.nnz:
+        return mat
+    # filled one diagonal at a time, so that nothing of size nnz is held
+    # beside the result; DIA keeps entry (i, j) in column j
     data = np.zeros((offsets.size, n))
     for row, k in zip(data, offsets):
-        diagonal = mat.diagonal(k)
-        start = max(k, 0)
-        row[start:start + diagonal.size] = diagonal
+        row[max(k, 0):min(n + k, n)] = mat.diagonal(k)
     return sp.dia_matrix((data, offsets), shape=mat.shape)
-
-
-def _banded(mat: sp.csr_matrix):
-    """``mat`` as a DIA matrix when ``_band_offsets`` finds it banded, else
-    ``mat`` itself."""
-    offsets = _band_offsets(mat)
-    return mat if offsets is None else _dia(mat, offsets)
 
 
 _hierarchy_cache: "weakref.WeakKeyDictionary[Mesh, MeshHierarchy]" = \

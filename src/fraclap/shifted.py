@@ -13,11 +13,12 @@ instead, the solved shifts are the leading ones whose residual, read off the
 tridiagonal's eigenvalues, meets it.  ``normalize`` assembles A~
 prescaled, once per stiffness matrix (again only when the lumped mass
 changes), and reuses it for every later family on the same operator.  A~ is
-stored as a DIA matrix when its nonzeros lie on a few diagonals, as on the
-grid meshes (``multigrid._band_offsets``): the same bits as CSR, at memory
-speed.  Each operator also keeps one spare Lanczos basis, which a scan pops
-and returns, so repeated solves do not fault in a fresh basis; the
-recurrence updates its vectors in place.  The remaining (small-shift)
+scaled on A's own sparsity pattern and handed to ``multigrid._banded``,
+which stores it as a DIA matrix when its nonzeros lie on a few diagonals,
+as on the grid meshes: the same bits as CSR, at memory speed.  Each
+operator also keeps one spare Lanczos basis, which a scan pops and returns,
+so repeated solves do not fault in a fresh basis; the recurrence updates
+its vectors in place.  The remaining (small-shift)
 systems are solved sequentially by preconditioned CG, rebuilding the
 preconditioner whenever the previous system needed more than ``_ITER_CAP``
 iterations.  Each system starts from its neighbor's solution, and since
@@ -80,8 +81,8 @@ class SolveStats:
 class ShiftedFamily:
     """Normalized shifted family, shifts sorted by decreasing magnitude.
 
-    ``A_scaled`` is the prescaled operator A~, banded (DIA) when its
-    nonzeros lie on a few diagonals and CSR otherwise, so that
+    ``A_scaled`` is the prescaled operator A~ on A's sparsity pattern, as
+    ``multigrid._banded`` stores it (DIA or CSR), so that
     ``apply_scaled`` (used by the Lanczos scan and by PCG) is one sparse
     matvec.  ``spare`` is the operator's spare Lanczos basis, shared by every
     family on it, under the key ``"Q"`` while no scan holds it.
@@ -126,28 +127,16 @@ _scaled_lock = threading.Lock()
 
 
 def _scale_operator(A: sp.csr_matrix, lumped_mass: np.ndarray):
-    """``(A~, rho, d)``: A~ = (1/rho) diag(d) A diag(d), banded when it can
-    be, d = M_h^{-1/2}, and rho the sup-norm of diag(d) A diag(d)."""
+    """``(A~, rho, d)``: A~ = (1/rho) diag(d) A diag(d) on A's pattern,
+    banded when it can be, d = M_h^{-1/2}, and rho the sup-norm of diag(d)
+    A diag(d).  Each entry is rounded as ``(d_i a_ij) d_j / rho``."""
     d = 1.0 / np.sqrt(lumped_mass)
-    scaled = sp.csr_matrix(sp.diags(d) @ A @ sp.diags(d))
+    data = np.repeat(d, np.diff(A.indptr)) * A.data
+    data *= d[A.indices]
+    scaled = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
     rho = float(np.max(np.abs(scaled).sum(axis=1)))
-    offsets = multigrid._band_offsets(scaled)
-    if offsets is None or not A.has_canonical_format:
-        scaled.data /= rho
-        return scaled, rho, d
-    # the banded A~ is filled from A once the CSR one is freed, so that the
-    # process never holds both; each entry is rounded as in the CSR one,
-    # (d_i a_ij) d_j / rho
-    del scaled
-    banded = multigrid._dia(A, offsets)
-    n = A.shape[0]
-    for row, k in zip(banded.data, offsets):
-        lo, hi = max(k, 0), min(n + k, n)       # columns of diagonal k
-        entries = row[lo:hi]
-        np.multiply(d[lo - k:hi - k], entries, out=entries)
-        entries *= d[lo:hi]
-        entries /= rho
-    return banded, rho, d
+    scaled.data /= rho
+    return multigrid._banded(scaled), rho, d
 
 
 def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
@@ -158,8 +147,9 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
         entry = _scaled_cache.get(key)
         if entry is None or entry[0] is not lumped_mass:
             mass = np.asarray(lumped_mass, dtype=float)
-            if np.any(mass <= 0):
-                raise ValueError("lumped mass must be strictly positive")
+            if not np.all(np.isfinite(mass) & (mass > 0)):
+                raise ValueError(
+                    "lumped mass must be finite and strictly positive")
             A_csr = sp.csr_matrix(A)
             if entry is None:
                 weakref.finalize(A, _scaled_cache.pop, key, None)
@@ -169,6 +159,8 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
     _, A, lumped_mass, scaled, rho, d, spare = entry
     shifts = np.asarray(shifts, dtype=float)
     Z = np.asarray(Z, dtype=float)
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("right-hand side Z must be finite")
     if labels is None:
         labels = np.arange(shifts.size)
     labels = np.asarray(labels)

@@ -10,9 +10,9 @@ import pytest
 import scipy.sparse as sp
 
 from fraclap import (GeometricMultigrid, MeshHierarchy, interpolate,
-                     multigrid, normalize, read_mesh, solve_all_shifted,
-                     solve_family, unit_cube_mesh, unit_square_mesh,
-                     write_mesh)
+                     multigrid, normalize, read_mesh, shifted,
+                     solve_all_shifted, solve_family, unit_cube_mesh,
+                     unit_square_mesh, write_mesh)
 from fraclap.fem import operators
 from fraclap.fractional import SolveOptions, fractional_solve
 
@@ -72,7 +72,7 @@ class TestBitwiseParity:
                               s):
         # fresh meshes: the scaled operator is cached per stiffness matrix
         with monkeypatch.context() as patch:
-            patch.setattr(multigrid, "_band_offsets", lambda mat: None)
+            patch.setattr(multigrid, "_banded", lambda mat: mat)
             csr = solve_everything(build(tmp_path), s)
         mesh = build(tmp_path)
         got = solve_everything(mesh, s)
@@ -122,26 +122,18 @@ class TestBandRule:
 
     def test_random_pattern_gives_up_after_the_first_block(self,
                                                            monkeypatch):
-        n = 3 * multigrid._BAND_ROWS
+        n = 12288
         rng = np.random.default_rng(1)
         B = sp.random(n, n, density=4.0 / n, random_state=rng, format="csr")
         mat = (B + B.T + 10.0 * sp.eye(n)).tocsr()
         mat.sort_indices()
-        blocks = []
-        union1d = np.union1d
-
-        def counted(*args):
-            blocks.append(1)
-            return union1d(*args)
 
         def no_dia(*args, **kwargs):
             raise AssertionError("a DIA matrix was built")
 
-        monkeypatch.setattr(np, "union1d", counted)
         monkeypatch.setattr(mat, "diagonal", no_dia)
         monkeypatch.setattr(sp, "dia_matrix", no_dia)
         assert multigrid._banded(mat) is mat
-        assert len(blocks) == 1
 
     def test_unsorted_indices_keep_csr(self):
         # a DIA matvec would add the products in another order
@@ -150,6 +142,33 @@ class TestBandRule:
         A.data[:3] = A.data[2::-1].copy()
         A.has_sorted_indices = False
         assert multigrid._banded(A) is A
+
+
+class TestScaledOperator:
+    # A~ is scaled on A's own pattern; the reference is the product of
+    # diagonal matrices it replaces, whose entries round as (d_i a_ij) d_j.
+    # Perturbed meshes, as the grid's stiffness entries (4, -1) multiply
+    # exactly in any order
+    @pytest.mark.parametrize("renumber, dia", [(False, True), (True, False)],
+                             ids=["grid-order", "renumbered"])
+    @pytest.mark.parametrize("varying", [False, True],
+                             ids=["lumped", "varying"])
+    def test_same_bits_as_the_diagonal_product(self, tmp_path, renumber, dia,
+                                               varying):
+        mesh = perturbed_square(tmp_path, 16, renumber=renumber)
+        ops = operators(mesh)
+        A, mass = ops.stiffness, ops.lumped_mass
+        if varying:
+            mass = mass * np.linspace(0.5, 2.0, mesh.n_interior)
+        got, rho, d = shifted._scale_operator(A, mass)
+        assert sp.isspmatrix_dia(got) == dia
+        want = sp.csr_matrix(sp.diags(d) @ A @ sp.diags(d))
+        want_rho = float(np.max(np.abs(want).sum(axis=1)))
+        want.data /= want_rho
+        assert rho == want_rho
+        np.testing.assert_array_equal(got.toarray(), want.toarray())
+        x = np.random.default_rng(3).standard_normal(mesh.n_interior)
+        np.testing.assert_array_equal(got @ x, want @ x)
 
 
 class TestSpareBasis:

@@ -128,6 +128,17 @@ class TestExperimentConfig:
             ExperimentConfig(threads=threads)
 
 
+class TestControlConvergence:
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_rejects_threads_other_than_one(self, tmp_path, threads):
+        # the study runs its solves in sequence
+        cfg = ExperimentConfig(s_values=(0.5,), levels=(2,), ref_level=3,
+                               out_dir=str(tmp_path), threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            run_control_convergence(cfg)
+        assert not any(tmp_path.iterdir())
+
+
 class TestStateConvergence:
     def test_small_study_structure_and_determinism(self, tmp_path):
         cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3), ref_level=5,
@@ -315,14 +326,27 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv,flag", [
-        (["--s", "0.1,0.9"], "--s"),
-        (["--post-process"], "--post-process"),
-        (["--post-process", "--mode", "variational"], "--post-process"),
-    ], ids=["two-s", "post-process-state", "post-process-variational"])
+    @pytest.mark.parametrize("argv,config,flag", [
+        (["--s", "0.1,0.9"], None, "--s"),
+        (["--post-process"], None, "--post-process"),
+        (["--post-process", "--mode", "variational"], None, "--post-process"),
+        (["--mu", "0.5"], None, "--mu"),
+        (["--a", "-0.5"], None, "--a"),
+        (["--b", "0.5"], None, "--b"),
+        (["--tol", "1e-3"], None, "--tol"),
+        ([], "mu = 0.5\n", "--mu"),
+        ([], "tol = 1e-3\n", "--tol"),
+    ], ids=["two-s", "post-process-state", "post-process-variational",
+            "mu-state", "a-state", "b-state", "tol-state", "mu-config-state",
+            "tol-config-state"])
     def test_solve_rejects_inputs_it_would_ignore(self, tmp_path, capsys,
-                                                  argv, flag):
+                                                  argv, config, flag):
+        # a state solve (no --mode) reads none of the control inputs
         out = tmp_path / "run"
+        if config is not None:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
         code = main(["solve", "--level", "3", "--out", str(out)] + argv)
         assert code == 1
         assert flag in capsys.readouterr().err

@@ -49,6 +49,30 @@ class TestNormalize:
             normalize(sp.eye(2).tocsr(), np.array([1.0, 0.0]),
                       np.array([1.0]), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf],
+                             ids=["nan", "inf"])
+    def test_rejects_mass_that_is_not_finite(self, bad):
+        # unchecked, a NaN fails in the tridiagonal eigensolve and an inf
+        # as "rtol = 0", errors that name neither input
+        mesh = unit_square_mesh(8)
+        ops = operators(mesh)
+        mass = ops.lumped_mass.copy()
+        mass[3] = bad
+        with pytest.raises(ValueError, match="lumped mass"):
+            solve_family(ops.stiffness, mass, np.array([1.0, 0.1]),
+                         np.ones(mesh.n_interior))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_rhs_that_is_not_finite(self, bad):
+        mesh = unit_square_mesh(8)
+        ops = operators(mesh)
+        Z = np.ones(mesh.n_interior)
+        Z[5] = bad
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_family(ops.stiffness, ops.lumped_mass,
+                         np.array([1.0, 0.1]), Z)
+
     def test_shifts_sorted_decreasing(self):
         fam = normalize(sp.eye(3).tocsr(), np.ones(3),
                         np.array([0.1, 10.0, 1.0]), np.ones(3),
