@@ -286,7 +286,7 @@ def _solve(problem: ControlProblem, tol: float,
             z_fix[free] = 0.0
             _, _, g_fix = red.evaluate(z_fix)
             rhs = -g_fix[free]
-            op = LinearOperator((nf, nf), matvec=matvec)
+            op = LinearOperator((nf, nf), matvec=matvec, dtype=float)
             rhs_norm = float(np.linalg.norm(rhs))
             target = max(0.05 * threshold, 1e-13 * max(rhs_norm, 1.0))
             x, info = gmres(op, rhs, x0=z[free].copy(), atol=target,

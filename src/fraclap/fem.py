@@ -167,8 +167,10 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 def lump_mass(M: sp.spmatrix) -> np.ndarray:
     """Row-sum lumping; returns the diagonal as a vector."""
     diag = np.asarray(M.sum(axis=1)).ravel()
-    if np.any(diag <= 0):
-        raise ValueError("lumped mass has non-positive entries")
+    bad = np.flatnonzero(~((diag > 0.0) & np.isfinite(diag)))
+    if bad.size:
+        raise ValueError("lumped mass must be finite and positive; "
+                         f"entry {bad[0]} is {diag[bad[0]]}")
     return diag
 
 

@@ -88,8 +88,12 @@ def quadrature_for_mesh(s: float, h: float, c_k: float = 1.1) -> SincQuadrature:
 class SolveOptions:
     """Configuration of a fractional solve.
 
-    ``n_max`` defaults to 500 in 2D and 250 in 3D; individual systems are
-    solved to a relative residual of ``rtol``.  ``k`` overrides the
+    ``n_max`` caps the multishift Lanczos scan: 1500 vectors in 2D, 250 in
+    3D by default.  It is not ``fractional_solve``'s memory cap: that
+    keeps at most ``shifted._STORED_MAX`` (500) basis vectors in memory and
+    regenerates a longer basis in a second pass (``solve_all_shifted``
+    keeps them all).  Individual systems are solved to a relative residual
+    of ``rtol``.  ``k`` overrides the
     mesh-coupled quadrature step (used by convergence studies that sweep the
     quadrature alone).  The preconditioner follows the mesh: geometric
     multigrid on the structured unit-square/cube meshes, symmetric
@@ -105,7 +109,7 @@ class SolveOptions:
     def resolved_n_max(self, dim: int) -> int:
         if self.n_max is not None:
             return self.n_max
-        return 500 if dim == 2 else 250
+        return 1500 if dim == 2 else 250
 
 
 @dataclass(eq=False)

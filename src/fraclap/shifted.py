@@ -18,7 +18,12 @@ which stores it as a DIA matrix when its nonzeros lie on a few diagonals,
 as on the grid meshes: the same bits as CSR, at memory speed.  Each
 operator also keeps one spare Lanczos basis, which a scan pops and returns,
 so repeated solves do not fault in a fresh basis; the recurrence updates
-its vectors in place.  The remaining (small-shift)
+its vectors in place.  A weighted solve keeps at most ``_STORED_MAX``
+basis vectors, so ``n_max`` caps the scan and not memory: past that row the
+scan keeps two rolling vectors and the tridiagonal, and the head's
+combinations are completed in a second pass that regenerates the dropped
+vectors from the tridiagonal with the same operations, hence the same bits
+(two-pass Lanczos; Frommer & Simoncini, 2008).  The remaining (small-shift)
 systems are solved sequentially by preconditioned CG, rebuilding the
 preconditioner whenever the previous system needed more than ``_ITER_CAP``
 iterations.  Each system starts from its neighbor's solution, and since
@@ -62,7 +67,8 @@ class SolveStats:
 
     ``iterations`` maps a label to the size of the Lanczos basis that
     multishift system was solved in, or to its PCG iteration count;
-    ``n_matvec`` counts the Lanczos basis vectors plus every PCG matvec.
+    ``n_matvec`` counts the Lanczos basis vectors, the basis vectors a
+    weighted solve regenerated past its stored ones, and every PCG matvec.
     """
 
     iterations: dict = field(default_factory=dict)   # label -> iteration count
@@ -173,15 +179,23 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
         inv_sqrt_mass=d, spare=spare)
 
 
-def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float):
+# basis vectors a weighted family solve keeps; the scan's later ones are
+# regenerated
+_STORED_MAX = 500
+
+
+def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float,
+             n_stored: int):
     """Lanczos basis of A~ from the scaled right-hand side.
 
-    Returns ``(Q, a, b, done)``: the basis, whose first ``len(a)`` rows are
-    the basis vectors, the diagonal ``a`` and the off-diagonal ``b`` of the
-    tridiagonal, with ``b[-1]`` the norm of the last residual.  ``Q`` is the
-    operator's spare basis, popped from ``family.spare`` for the scan (the
-    caller puts it back), or a new one when a concurrent scan holds it or
-    it has fewer than ``n_max`` rows.
+    Returns ``(Q, a, b, done)``: the stored basis, whose first ``min(len(a),
+    n_stored)`` rows are the first basis vectors, the diagonal ``a`` and the
+    off-diagonal ``b`` of the tridiagonal, with ``b[-1]`` the norm of the
+    last residual.  Past ``n_stored`` vectors the scan keeps only the last
+    two, and ``_regenerate`` rebuilds the rest from ``a`` and ``b``.  ``Q``
+    is the operator's spare basis, popped from ``family.spare`` for the scan
+    (the caller puts it back), or a new one when a concurrent scan holds it
+    or it has fewer than ``n_stored`` rows.
 
     One scalar LDL^T recurrence, for the smallest shift, decides when to
     stop: a shift's residual decreases with the shift, so once the smallest
@@ -194,21 +208,21 @@ def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float):
     beta0 = float(np.linalg.norm(z))
     sigma = family.shifts_scaled[-1]
     Q = family.spare.pop("Q", None)
-    if Q is None or Q.shape[0] < n_max:
+    if Q is None or Q.shape[0] < n_stored:
         Q = None                        # free a spare too small first
-        Q = np.empty((n_max, family.n))
+        Q = np.empty((n_stored, family.n))
     a = np.empty(n_max)
     b = np.empty(n_max)
     tmp = np.empty(family.n)
     np.divide(z, beta0, out=Q[0])
+    q_prev, q = None, Q[0]
     c = beta0
     for j in range(n_max):
-        q = Q[j]
         w = family.apply_scaled(q)
-        # the products of ``w -= b * Q[j - 1]`` and ``w -= a * q`` in place,
+        # the products of ``w -= b * q_prev`` and ``w -= a * q`` in place,
         # with the same rounding (no fused multiply-add)
         if j > 0:
-            np.multiply(b[j - 1], Q[j - 1], out=tmp)
+            np.multiply(b[j - 1], q_prev, out=tmp)
             w -= tmp
         a[j] = q @ w
         np.multiply(a[j], q, out=tmp)
@@ -225,9 +239,49 @@ def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float):
                 "shifted CG breakdown: operator is not positive definite")
         if abs(c) / d * b[j] <= tol_abs or b[j] < 1e-300:
             return Q, a[:j + 1], b[:j + 1], True
-        if j + 1 < n_max:
+        if j + 1 < n_stored:
             np.divide(w, b[j], out=Q[j + 1])
+            q_prev, q = q, Q[j + 1]
+        else:                           # past the stored rows: w is q_{j+1}
+            w /= b[j]
+            q_prev, q = q, w
     return Q, a, b, False
+
+
+def _regenerate(family: ShiftedFamily, Q: np.ndarray, a: np.ndarray,
+                b: np.ndarray, coefs):
+    """``sum_j c_j q_j`` over the whole basis, for each coefficient vector
+    ``c`` in ``coefs``.
+
+    The stored rows of ``Q`` enter as one product; the vectors past them
+    are rebuilt from the last two stored ones with the scan's own
+    multiply, subtract and divide, so they are the scan's bits, at one
+    matvec each.
+    """
+    K = Q.shape[0]
+    out = [c[:K] @ Q for c in coefs]
+    tmp = np.empty(family.n)
+    q_prev, q = (Q[K - 2] if K > 1 else None), Q[K - 1]
+    for j in range(K - 1, a.size - 1):
+        w = family.apply_scaled(q)
+        if j > 0:
+            np.multiply(b[j - 1], q_prev, out=tmp)
+            w -= tmp
+        np.multiply(a[j], q, out=tmp)
+        w -= tmp
+        w /= b[j]
+        q_prev, q = q, w
+        for x, c in zip(out, coefs):
+            np.multiply(c[j + 1], q, out=tmp)
+            x += tmp
+    return out
+
+
+def _n_stored(n_max: int, weights) -> int:
+    """Rows of the Lanczos basis a family solve keeps: all ``n_max`` when it
+    returns every solution, which takes S x n anyway; else at most
+    ``_STORED_MAX``."""
+    return n_max if weights is None else min(n_max, _STORED_MAX)
 
 
 def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
@@ -239,7 +293,10 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
     n_basis, head, x_last)``: the number of leading shifts solved, the basis
     size, their solutions (or with ``weights`` the weighted sum over them)
     in scaled space, and the last solved shift's solution when the tail
-    still has systems (else None).
+    still has systems (else None).  With ``weights`` at most
+    ``_STORED_MAX`` basis vectors are kept; a basis that outgrew them is
+    swept a second time by ``_regenerate``, at one more matvec per vector
+    beyond them.
     """
     S = family.n_shifts
     sig = family.shifts_scaled
@@ -248,8 +305,9 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
         head = np.zeros(family.n) if weights is not None else \
             np.zeros((S, family.n))
         return S, 0, head, None
-    basis, a, b, done = _lanczos(family, n_max, tol_abs)
-    Q = basis[:len(a)]
+    n_stored = _n_stored(n_max, weights)
+    basis, a, b, done = _lanczos(family, n_max, tol_abs, n_stored)
+    Q = basis[:min(len(a), n_stored)]
     theta, V = eigh_tridiagonal(a, b[:-1])
     n_solved = S
     if not done:
@@ -261,13 +319,17 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
         with np.errstate(divide="ignore"):      # rtol = 0 solves nothing
             n_solved = int(np.count_nonzero(log_res <= np.log(tol_abs)))
     G = beta0 * V[0][:, None] / (theta[:, None] + sig[None, :n_solved])
+    # the tail's start, and with weights the head, as combinations of the
+    # basis vectors
+    tail = 0 < n_solved < S
+    coefs = [V @ G[:, -1]] if tail else []
     if weights is not None:
-        head = (V @ (G @ weights[:n_solved])) @ Q
-    else:
-        head = (V @ G).T @ Q
-    x_last = (V @ G[:, -1]) @ Q if 0 < n_solved < S else None
+        coefs.append(V @ (G @ weights[:n_solved]))
+    sums = _regenerate(family, Q, a, b, coefs)
+    x_last = sums[0] if tail else None
+    head = sums[-1] if weights is not None else (V @ G).T @ Q
     family.spare["Q"] = basis           # done with it: the next scan's spare
-    return n_solved, len(Q), head, x_last
+    return n_solved, len(a), head, x_last
 
 
 def _pcg(op, x0, r0, prec, tol, maxiter):
@@ -485,7 +547,8 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     """Solve (A + alpha_l M_h) V^l = Z for every shift.
 
     The leading (large) shifts are solved in one Lanczos basis of at most
-    ``n_max`` vectors, the rest by ``solve_preconditioned``
+    ``n_max`` vectors (with ``weights``, of which at most ``_STORED_MAX``
+    are kept in memory), the rest by ``solve_preconditioned``
     warm-started from the last multishift solution.  Returns ``(values,
     stats)``: the solution stack (input shift order, one row per shift), or
     with ``weights`` the combination ``sum_l w_l V^l``, which avoids
@@ -508,6 +571,7 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
 
     tol_abs = rtol * float(np.linalg.norm(family.rhs_scaled))
     n_solved, n_basis, head, x_start = _head(family, n_max, tol_abs, weights)
+    n_regenerated = max(n_basis - _n_stored(n_max, weights), 0)
     if rtol == 0.0 and n_solved < family.n_shifts:
         raise ValueError(
             f"rtol = 0 leaves {family.n_shifts - n_solved} systems to PCG, "
@@ -520,7 +584,8 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
                     **pcg.iterations},
         n_alg1=n_solved, n_alg2=pcg.n_alg2,
         crossover=family.labels[n_solved - 1] if n_solved else None,
-        n_prec_setups=pcg.n_prec_setups, n_matvec=n_basis + pcg.n_matvec)
+        n_prec_setups=pcg.n_prec_setups,
+        n_matvec=n_basis + n_regenerated + pcg.n_matvec)
     if weights is not None:
         return family.unnormalize(head + tail), stats
     rows = family.unnormalize(np.vstack([head, tail]))

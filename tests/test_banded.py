@@ -1,5 +1,6 @@
 """Banded (DIA) storage of the grid operators and the reused Lanczos basis:
-both must leave every output bit unchanged."""
+both must leave every output bit unchanged.  A weighted solve that keeps
+only part of its basis and regenerates the rest must scan the same bits."""
 
 import dataclasses
 import sys
@@ -13,8 +14,10 @@ from fraclap import (GeometricMultigrid, MeshHierarchy, interpolate,
                      multigrid, normalize, read_mesh, shifted,
                      solve_all_shifted, solve_family, unit_cube_mesh,
                      unit_square_mesh, write_mesh)
-from fraclap.fem import operators
-from fraclap.fractional import SolveOptions, fractional_solve
+from fraclap.fem import assemble_load, operators
+from fraclap.fractional import (SolveOptions, fractional_solve,
+                                quadrature_for_mesh)
+from fraclap.harness import hat_rhs
 
 # small enough that every solve below has a PCG tail
 N_MAX = 20
@@ -250,3 +253,90 @@ class TestSpareBasis:
             for run in runs:
                 for got, expected in zip(run, want):
                     np.testing.assert_array_equal(got, expected)
+
+
+class TestRegeneratedBasis:
+    # square 64 and cube 16 have a DIA A~, the renumbered perturbed mesh a
+    # CSR one
+    @pytest.mark.parametrize("build", [
+        lambda tmp: unit_square_mesh(64),
+        lambda tmp: unit_cube_mesh(16),
+        lambda tmp: perturbed_square(tmp, 32, renumber=True),
+    ], ids=["square64", "cube16", "renumbered32"])
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+    def test_same_scan_with_fewer_stored_vectors(self, monkeypatch, tmp_path,
+                                                 build, s):
+        mesh = build(tmp_path)
+        ops = operators(mesh)
+        quad = quadrature_for_mesh(s, mesh.h)
+        z = assemble_load(mesh, lambda p: np.sin(np.pi * p).prod(axis=1)
+                          + p[:, 0])
+        family = normalize(ops.stiffness, ops.lumped_mass, quad.shifts, z,
+                           labels=quad.l)
+        weights = quad.weights[::-1]                # family order
+        lanczos = shifted._lanczos
+        apply = shifted.ShiftedFamily.apply_scaled
+        # at rtol 1e-8 the head takes every shift; at 1e-12 the scan stops
+        # at n_max and the tail's start x_last is regenerated too
+        for rtol, n_max in ((1e-8, 200), (1e-12, 50)):
+            tol_abs = rtol * np.linalg.norm(family.rhs_scaled)
+            runs = {}
+            for cap in (shifted._STORED_MAX, 1, 2, 20):
+                scans, products = [], []
+
+                def spy(*args, scans=scans):
+                    Q, a, b, done = lanczos(*args)
+                    scans.append((a.copy(), b.copy(), done))
+                    return Q, a, b, done
+
+                def counting(self, x, products=products):
+                    products.append(1)
+                    return apply(self, x)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(shifted, "_STORED_MAX", cap)
+                    patch.setattr(shifted, "_lanczos", spy)
+                    patch.setattr(shifted.ShiftedFamily, "apply_scaled",
+                                  counting)
+                    family.spare.clear()
+                    out = shifted._head(family, n_max, tol_abs, weights)
+                    assert family.spare["Q"].shape[0] == min(n_max, cap)
+                    n_basis = out[1]
+                    assert len(products) == \
+                        n_basis + max(n_basis - min(n_max, cap), 0)
+                    if rtol == 1e-8:
+                        products.clear()
+                        _, stats = solve_family(
+                            ops.stiffness, ops.lumped_mass, quad.shifts, z,
+                            labels=quad.l, n_max=n_max, weights=quad.weights)
+                        assert stats.n_alg2 == 0
+                        assert stats.n_matvec == len(products)
+                runs[cap] = out, scans[0]
+            (n_solved, n_basis, head, x_last), scan = \
+                runs.pop(shifted._STORED_MAX)
+            assert n_basis > 20
+            assert (x_last is None) == (rtol == 1e-8)
+            for (got_solved, got_basis, got_head, got_last), got_scan in \
+                    runs.values():
+                assert (got_solved, got_basis) == (n_solved, n_basis)
+                for got, want in zip(got_scan, scan):
+                    np.testing.assert_array_equal(got, want)
+                assert np.linalg.norm(got_head - head) <= \
+                    1e-13 * np.linalg.norm(head)
+                if x_last is not None:
+                    assert np.linalg.norm(got_last - x_last) <= \
+                        1e-13 * np.linalg.norm(x_last)
+
+    def test_default_scan_caps(self):
+        assert SolveOptions().resolved_n_max(2) == 1500
+        assert SolveOptions().resolved_n_max(3) == 250
+
+    def test_level_8_state_solve_needs_no_pcg(self):
+        # the smallest shift needs about 600 vectors: more than are stored,
+        # fewer than the scan cap
+        mesh = unit_square_mesh(256)
+        stats = fractional_solve(mesh, 0.05, hat_rhs(mesh)).stats
+        assert stats.n_alg2 == 0 and stats.n_prec_setups == 0
+        n_basis = stats.iterations[stats.crossover]
+        assert shifted._STORED_MAX < n_basis < 1500
+        assert stats.n_matvec == 2 * n_basis - shifted._STORED_MAX

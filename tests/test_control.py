@@ -313,3 +313,32 @@ def test_stats_sum_every_fractional_solve(monkeypatch, mode):
         total = sum(getattr(st, name) for st in calls)
         assert total > 0
         assert getattr(sol.stats, name) == total
+
+
+def test_polish_makes_no_zero_load_solve(monkeypatch):
+    # GMRES's operator has its dtype: left to probe it, scipy applies the
+    # operator to a zero vector, two fractional solves with a zero load.
+    # Tight bounds keep the box active, so the polish's fixed part z_fix
+    # and all its other loads are nonzero
+    loads, polish_starts = [], []
+    solve, gmres = fraclap.control.fractional_solve, fraclap.control.gmres
+
+    def recorder(mesh, s, rhs, options=None):
+        loads.append(np.asarray(rhs.values).copy())
+        return solve(mesh, s, rhs, options)
+
+    def gmres_spy(*args, **kwargs):
+        polish_starts.append(len(loads))
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(fraclap.control, "fractional_solve", recorder)
+    monkeypatch.setattr(fraclap.control, "gmres", gmres_spy)
+    mesh = unit_square_mesh(16)
+    prob = make_problem(mesh, VARIATIONAL, mu=0.01, lower=-0.3, upper=0.3)
+    sol = solve_variational(prob, tol=1e-9)
+    z = sol.control.values
+    assert polish_starts
+    assert np.any(z == -0.3) and np.any(z == 0.3)
+    # only the state of the zero start has a zero load
+    assert not np.any(loads[0])
+    assert all(np.any(load) for load in loads[1:])

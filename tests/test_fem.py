@@ -192,6 +192,14 @@ class TestLumpedMass:
         M = assemble_mass(unit_square_mesh(2))
         np.testing.assert_allclose(lump_mass(M), [0.125])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_row_sum_that_is_not_finite(self, bad):
+        # NaN compares false with zero, so a sign test alone lets it through
+        M = assemble_mass(unit_square_mesh(4)).tolil()
+        M[3, 4] = bad
+        with pytest.raises(ValueError, match="entry 3 is"):
+            lump_mass(M.tocsr())
+
 
 class TestLoad:
     def test_zero_function(self):
