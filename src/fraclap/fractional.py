@@ -11,7 +11,6 @@ meshes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from . import fem
 from .fem import CellwiseFunction, NodalFunction
 from .mesh import Mesh
 from .multigrid import GeometricMultigrid, MeshHierarchy
-from .shifted import SolveStats, solve_family
+from .shifted import _SCAN_MAX, SolveStats, solve_family
 
 __all__ = [
     "SincQuadrature",
@@ -88,28 +87,27 @@ def quadrature_for_mesh(s: float, h: float, c_k: float = 1.1) -> SincQuadrature:
 class SolveOptions:
     """Configuration of a fractional solve.
 
-    ``n_max`` caps the multishift Lanczos scan: 1500 vectors in 2D, 250 in
-    3D by default.  It is not ``fractional_solve``'s memory cap: that
-    keeps at most ``shifted._STORED_MAX`` (500) basis vectors in memory and
-    regenerates a longer basis in a second pass (``solve_all_shifted``
-    keeps them all).  Individual systems are solved to a relative residual
-    of ``rtol``.  ``k`` overrides the
-    mesh-coupled quadrature step (used by convergence studies that sweep the
-    quadrature alone).  The preconditioner follows the mesh: geometric
-    multigrid on the structured unit-square/cube meshes, symmetric
-    Gauss-Seidel on any other mesh; the sequential solver rebuilds it after
-    a system that needed more than ``shifted._ITER_CAP`` iterations.
+    ``n_max`` caps the multishift Lanczos scan (1500 vectors by default);
+    a family solve keeps at most ``shifted._STORED_MAX`` (500) of them in
+    memory and regenerates the rest in a second pass.  Individual systems
+    are solved to a relative residual of ``rtol``.  ``k`` overrides the
+    mesh-coupled quadrature step, and with it ``c_k`` (used by convergence
+    studies that sweep the quadrature alone).  The preconditioner follows
+    the mesh: geometric multigrid on the structured unit-square/cube
+    meshes, symmetric Gauss-Seidel on any other mesh; the sequential solver
+    rebuilds it after a system that needed more than ``shifted._ITER_CAP``
+    iterations.
     """
 
     c_k: float = 1.1
     k: float | None = None
     rtol: float = 1e-8
-    n_max: int | None = None
+    n_max: int = _SCAN_MAX
 
-    def resolved_n_max(self, dim: int) -> int:
-        if self.n_max is not None:
-            return self.n_max
-        return 1500 if dim == 2 else 250
+    def __post_init__(self):
+        if self.k is not None and self.c_k != SolveOptions.c_k:
+            raise ValueError("c_k has no effect when k is given; "
+                             "pass one of them")
 
 
 @dataclass(eq=False)
@@ -129,11 +127,13 @@ def _as_load(mesh: Mesh, rhs) -> np.ndarray:
 
 
 def _prec_factory(mesh: Mesh):
-    """Geometric multigrid on structured meshes; None otherwise, so that the
-    family solve builds its default symmetric Gauss-Seidel preconditioner."""
+    """Geometric multigrid on structured meshes, on a hierarchy built at the
+    first set-up; None otherwise, so that the family solve builds its
+    default symmetric Gauss-Seidel preconditioner."""
     if mesh.cells_per_side is None:
         return None
-    return functools.partial(GeometricMultigrid, MeshHierarchy.for_mesh(mesh))
+    return lambda alpha: GeometricMultigrid(MeshHierarchy.for_mesh(mesh),
+                                            alpha)
 
 
 def _solve_quadrature(mesh: Mesh, s: float, rhs, options: SolveOptions | None,
@@ -148,7 +148,7 @@ def _solve_quadrature(mesh: Mesh, s: float, rhs, options: SolveOptions | None,
     values, stats = solve_family(
         ops.stiffness, ops.lumped_mass, quad.shifts, Z,
         labels=quad.l, weights=quad.weights if weighted else None,
-        rtol=options.rtol, n_max=options.resolved_n_max(mesh.dim),
+        rtol=options.rtol, n_max=options.n_max,
         prec_factory=_prec_factory(mesh))
     return values, stats, quad
 

@@ -18,12 +18,12 @@ which stores it as a DIA matrix when its nonzeros lie on a few diagonals,
 as on the grid meshes: the same bits as CSR, at memory speed.  Each
 operator also keeps one spare Lanczos basis, which a scan pops and returns,
 so repeated solves do not fault in a fresh basis; the recurrence updates
-its vectors in place.  A weighted solve keeps at most ``_STORED_MAX``
+its vectors in place.  Every family solve keeps at most ``_STORED_MAX``
 basis vectors, so ``n_max`` caps the scan and not memory: past that row the
 scan keeps two rolling vectors and the tridiagonal, and the head's
 combinations are completed in a second pass that regenerates the dropped
-vectors from the tridiagonal with the same operations, hence the same bits
-(two-pass Lanczos; Frommer & Simoncini, 2008).  The remaining (small-shift)
+vectors through the scan's own ``_step``, hence with its bits (two-pass
+Lanczos; Frommer & Simoncini, 2008).  The remaining (small-shift)
 systems are solved sequentially by preconditioned CG, rebuilding the
 preconditioner whenever the previous system needed more than ``_ITER_CAP``
 iterations.  Each system starts from its neighbor's solution, and since
@@ -67,8 +67,8 @@ class SolveStats:
 
     ``iterations`` maps a label to the size of the Lanczos basis that
     multishift system was solved in, or to its PCG iteration count;
-    ``n_matvec`` counts the Lanczos basis vectors, the basis vectors a
-    weighted solve regenerated past its stored ones, and every PCG matvec.
+    ``n_matvec`` counts the Lanczos basis vectors, the basis vectors
+    regenerated past the stored ones, and every PCG matvec.
     """
 
     iterations: dict = field(default_factory=dict)   # label -> iteration count
@@ -164,6 +164,8 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
             _scaled_cache[key] = entry
     _, A, lumped_mass, scaled, rho, d, spare = entry
     shifts = np.asarray(shifts, dtype=float)
+    if np.any(np.isnan(shifts)):
+        raise ValueError("shifts must not be NaN")
     Z = np.asarray(Z, dtype=float)
     if not np.all(np.isfinite(Z)):
         raise ValueError("right-hand side Z must be finite")
@@ -179,23 +181,39 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
         inv_sqrt_mass=d, spare=spare)
 
 
-# basis vectors a weighted family solve keeps; the scan's later ones are
-# regenerated
+# basis vectors a family solve keeps; the scan's later ones are regenerated
 _STORED_MAX = 500
+# default cap of the Lanczos scan
+_SCAN_MAX = 1500
 
 
-def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float,
-             n_stored: int):
+def _step(family: ShiftedFamily, q, q_prev, b_prev, tmp, a_j=None):
+    """``(w, a_j)``: ``w = A~ q - b_prev q_prev - a_j q`` (no ``b_prev``
+    term without ``q_prev``), the products subtracted in place through
+    ``tmp`` (no fused multiply-add), with ``a_j = q . (A~ q - b_prev
+    q_prev)`` unless the second pass gives it."""
+    w = family.apply_scaled(q)
+    if q_prev is not None:
+        np.multiply(b_prev, q_prev, out=tmp)
+        w -= tmp
+    if a_j is None:
+        a_j = q @ w
+    np.multiply(a_j, q, out=tmp)
+    w -= tmp
+    return w, a_j
+
+
+def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float):
     """Lanczos basis of A~ from the scaled right-hand side.
 
     Returns ``(Q, a, b, done)``: the stored basis, whose first ``min(len(a),
-    n_stored)`` rows are the first basis vectors, the diagonal ``a`` and the
-    off-diagonal ``b`` of the tridiagonal, with ``b[-1]`` the norm of the
-    last residual.  Past ``n_stored`` vectors the scan keeps only the last
-    two, and ``_regenerate`` rebuilds the rest from ``a`` and ``b``.  ``Q``
-    is the operator's spare basis, popped from ``family.spare`` for the scan
-    (the caller puts it back), or a new one when a concurrent scan holds it
-    or it has fewer than ``n_stored`` rows.
+    _STORED_MAX)`` rows are the first basis vectors, the diagonal ``a`` and
+    the off-diagonal ``b`` of the tridiagonal, with ``b[-1]`` the norm of the
+    last residual.  Past ``min(n_max, _STORED_MAX)`` vectors the scan keeps
+    only the last two, and ``_combine`` rebuilds the rest from ``a`` and
+    ``b``.  ``Q`` is the operator's spare basis, popped from
+    ``family.spare`` for the scan (the caller puts it back), or a new one
+    when a concurrent scan holds it or it has too few rows.
 
     One scalar LDL^T recurrence, for the smallest shift, decides when to
     stop: a shift's residual decreases with the shift, so once the smallest
@@ -204,6 +222,7 @@ def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float,
     stops at ``n_max`` vectors.  A non-positive pivot of the
     smallest shift means the operator is not positive definite.
     """
+    n_stored = min(n_max, _STORED_MAX)
     z = family.rhs_scaled
     beta0 = float(np.linalg.norm(z))
     sigma = family.shifts_scaled[-1]
@@ -218,15 +237,7 @@ def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float,
     q_prev, q = None, Q[0]
     c = beta0
     for j in range(n_max):
-        w = family.apply_scaled(q)
-        # the products of ``w -= b * q_prev`` and ``w -= a * q`` in place,
-        # with the same rounding (no fused multiply-add)
-        if j > 0:
-            np.multiply(b[j - 1], q_prev, out=tmp)
-            w -= tmp
-        a[j] = q @ w
-        np.multiply(a[j], q, out=tmp)
-        w -= tmp
+        w, a[j] = _step(family, q, q_prev, b[j - 1], tmp)
         b[j] = math.sqrt(w @ w)         # np.linalg.norm(w), bit for bit
         if j == 0:
             d = a[0] + sigma
@@ -248,40 +259,27 @@ def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float,
     return Q, a, b, False
 
 
-def _regenerate(family: ShiftedFamily, Q: np.ndarray, a: np.ndarray,
-                b: np.ndarray, coefs):
-    """``sum_j c_j q_j`` over the whole basis, for each coefficient vector
-    ``c`` in ``coefs``.
+def _combine(family: ShiftedFamily, Q: np.ndarray, a: np.ndarray,
+             b: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """``C @ [q_0; ...; q_{m-1}]``: one combination of the whole basis per
+    row of ``C``.
 
     The stored rows of ``Q`` enter as one product; the vectors past them
-    are rebuilt from the last two stored ones with the scan's own
-    multiply, subtract and divide, so they are the scan's bits, at one
-    matvec each.
+    are rebuilt from the last two stored ones by the scan's own ``_step``
+    and division, so they are the scan's bits, at one matvec each.
     """
     K = Q.shape[0]
-    out = [c[:K] @ Q for c in coefs]
+    out = C[:, :K] @ Q
     tmp = np.empty(family.n)
+    terms = np.empty_like(out)
     q_prev, q = (Q[K - 2] if K > 1 else None), Q[K - 1]
     for j in range(K - 1, a.size - 1):
-        w = family.apply_scaled(q)
-        if j > 0:
-            np.multiply(b[j - 1], q_prev, out=tmp)
-            w -= tmp
-        np.multiply(a[j], q, out=tmp)
-        w -= tmp
+        w, _ = _step(family, q, q_prev, b[j - 1], tmp, a[j])
         w /= b[j]
         q_prev, q = q, w
-        for x, c in zip(out, coefs):
-            np.multiply(c[j + 1], q, out=tmp)
-            x += tmp
+        np.multiply(C[:, j + 1, None], q, out=terms)
+        out += terms
     return out
-
-
-def _n_stored(n_max: int, weights) -> int:
-    """Rows of the Lanczos basis a family solve keeps: all ``n_max`` when it
-    returns every solution, which takes S x n anyway; else at most
-    ``_STORED_MAX``."""
-    return n_max if weights is None else min(n_max, _STORED_MAX)
 
 
 def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
@@ -293,10 +291,10 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
     n_basis, head, x_last)``: the number of leading shifts solved, the basis
     size, their solutions (or with ``weights`` the weighted sum over them)
     in scaled space, and the last solved shift's solution when the tail
-    still has systems (else None).  With ``weights`` at most
-    ``_STORED_MAX`` basis vectors are kept; a basis that outgrew them is
-    swept a second time by ``_regenerate``, at one more matvec per vector
-    beyond them.
+    still has systems (else None).  At most ``_STORED_MAX`` basis vectors
+    are kept; ``_combine`` forms every wanted combination, sweeping a basis
+    that outgrew them a second time, at one more matvec per vector beyond
+    them.
     """
     S = family.n_shifts
     sig = family.shifts_scaled
@@ -305,9 +303,7 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
         head = np.zeros(family.n) if weights is not None else \
             np.zeros((S, family.n))
         return S, 0, head, None
-    n_stored = _n_stored(n_max, weights)
-    basis, a, b, done = _lanczos(family, n_max, tol_abs, n_stored)
-    Q = basis[:min(len(a), n_stored)]
+    basis, a, b, done = _lanczos(family, n_max, tol_abs)
     theta, V = eigh_tridiagonal(a, b[:-1])
     n_solved = S
     if not done:
@@ -319,17 +315,16 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
         with np.errstate(divide="ignore"):      # rtol = 0 solves nothing
             n_solved = int(np.count_nonzero(log_res <= np.log(tol_abs)))
     G = beta0 * V[0][:, None] / (theta[:, None] + sig[None, :n_solved])
-    # the tail's start, and with weights the head, as combinations of the
-    # basis vectors
+    # the head's solutions, or their weighted sum and the tail's start, as
+    # combinations of the basis vectors; with a tail, the last row is its
+    # start
     tail = 0 < n_solved < S
-    coefs = [V @ G[:, -1]] if tail else []
-    if weights is not None:
-        coefs.append(V @ (G @ weights[:n_solved]))
-    sums = _regenerate(family, Q, a, b, coefs)
-    x_last = sums[0] if tail else None
-    head = sums[-1] if weights is not None else (V @ G).T @ Q
+    C = (V @ G).T if weights is None else \
+        np.array([V @ (G @ weights[:n_solved])] + [V @ G[:, -1]] * tail)
+    sums = _combine(family, basis[:min(len(a), _STORED_MAX)], a, b, C)
     family.spare["Q"] = basis           # done with it: the next scan's spare
-    return n_solved, len(a), head, x_last
+    head = sums if weights is None else sums[0]
+    return n_solved, len(a), head, sums[-1] if tail else None
 
 
 def _pcg(op, x0, r0, prec, tol, maxiter):
@@ -543,16 +538,17 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
 
 
 def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
-                 n_max=500, prec_factory=None, weights=None):
+                 n_max=_SCAN_MAX, prec_factory=None, weights=None):
     """Solve (A + alpha_l M_h) V^l = Z for every shift.
 
     The leading (large) shifts are solved in one Lanczos basis of at most
-    ``n_max`` vectors (with ``weights``, of which at most ``_STORED_MAX``
-    are kept in memory), the rest by ``solve_preconditioned``
-    warm-started from the last multishift solution.  Returns ``(values,
-    stats)``: the solution stack (input shift order, one row per shift), or
-    with ``weights`` the combination ``sum_l w_l V^l``, which avoids
-    materializing every solution.  ``rtol = 0`` is accepted only when the
+    ``n_max`` vectors (of which at most ``_STORED_MAX`` are kept in
+    memory), the rest by ``solve_preconditioned`` warm-started from the
+    last multishift solution.  ``labels`` and ``weights``, when given, have
+    one entry per shift.  Returns ``(values, stats)``: the solution stack
+    (input shift order, one row per shift), or with ``weights`` the
+    combination ``sum_l w_l V^l``, which avoids materializing every
+    solution.  ``rtol = 0`` is accepted only when the
     Lanczos basis solves every shift exactly (an invariant subspace).
     """
     if n_max < 1:
@@ -560,6 +556,10 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
     shifts = np.asarray(shifts, dtype=float)
+    for name, value in (("labels", labels), ("weights", weights)):
+        if value is not None and np.shape(value) != shifts.shape:
+            raise ValueError(f"{name} must have one entry per shift: shape "
+                             f"{np.shape(value)}, shifts {shifts.shape}")
     family = normalize(A, lumped_mass, shifts, Z, labels=labels)
     # the solvers stop on the normalized residual; dividing by the mass
     # scaling spread makes the bound hold for the un-normalized residual too
@@ -571,7 +571,6 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
 
     tol_abs = rtol * float(np.linalg.norm(family.rhs_scaled))
     n_solved, n_basis, head, x_start = _head(family, n_max, tol_abs, weights)
-    n_regenerated = max(n_basis - _n_stored(n_max, weights), 0)
     if rtol == 0.0 and n_solved < family.n_shifts:
         raise ValueError(
             f"rtol = 0 leaves {family.n_shifts - n_solved} systems to PCG, "
@@ -585,7 +584,7 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
         n_alg1=n_solved, n_alg2=pcg.n_alg2,
         crossover=family.labels[n_solved - 1] if n_solved else None,
         n_prec_setups=pcg.n_prec_setups,
-        n_matvec=n_basis + n_regenerated + pcg.n_matvec)
+        n_matvec=n_basis + max(n_basis - _STORED_MAX, 0) + pcg.n_matvec)
     if weights is not None:
         return family.unnormalize(head + tail), stats
     rows = family.unnormalize(np.vstack([head, tail]))

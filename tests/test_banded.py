@@ -1,8 +1,10 @@
 """Banded (DIA) storage of the grid operators and the reused Lanczos basis:
-both must leave every output bit unchanged.  A weighted solve that keeps
+both must leave every output bit unchanged.  A family solve that keeps
 only part of its basis and regenerates the rest must scan the same bits."""
 
 import dataclasses
+import inspect
+import itertools
 import sys
 import threading
 
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fraclap import (GeometricMultigrid, MeshHierarchy, interpolate,
-                     multigrid, normalize, read_mesh, shifted,
+from fraclap import (GeometricMultigrid, MeshHierarchy, fractional,
+                     interpolate, multigrid, normalize, read_mesh, shifted,
                      solve_all_shifted, solve_family, unit_cube_mesh,
                      unit_square_mesh, write_mesh)
 from fraclap.fem import assemble_load, operators
@@ -273,16 +275,18 @@ class TestRegeneratedBasis:
                           + p[:, 0])
         family = normalize(ops.stiffness, ops.lumped_mass, quad.shifts, z,
                            labels=quad.l)
-        weights = quad.weights[::-1]                # family order
         lanczos = shifted._lanczos
         apply = shifted.ShiftedFamily.apply_scaled
+        step = shifted._step
         # at rtol 1e-8 the head takes every shift; at 1e-12 the scan stops
-        # at n_max and the tail's start x_last is regenerated too
-        for rtol, n_max in ((1e-8, 200), (1e-12, 50)):
+        # at n_max and the tail's start x_last is regenerated too.  The
+        # weighted and the unweighted solve keep the same rows
+        for weights, (rtol, n_max) in itertools.product(
+                (quad.weights[::-1], None), ((1e-8, 200), (1e-12, 50))):
             tol_abs = rtol * np.linalg.norm(family.rhs_scaled)
             runs = {}
             for cap in (shifted._STORED_MAX, 1, 2, 20):
-                scans, products = [], []
+                scans, products, steps = [], [], []
 
                 def spy(*args, scans=scans):
                     Q, a, b, done = lanczos(*args)
@@ -293,22 +297,29 @@ class TestRegeneratedBasis:
                     products.append(1)
                     return apply(self, x)
 
+                def counting_step(*args, steps=steps, **kwargs):
+                    steps.append(1)
+                    return step(*args, **kwargs)
+
                 with monkeypatch.context() as patch:
                     patch.setattr(shifted, "_STORED_MAX", cap)
                     patch.setattr(shifted, "_lanczos", spy)
                     patch.setattr(shifted.ShiftedFamily, "apply_scaled",
                                   counting)
+                    patch.setattr(shifted, "_step", counting_step)
                     family.spare.clear()
                     out = shifted._head(family, n_max, tol_abs, weights)
                     assert family.spare["Q"].shape[0] == min(n_max, cap)
                     n_basis = out[1]
-                    assert len(products) == \
-                        n_basis + max(n_basis - min(n_max, cap), 0)
+                    n_regenerated = max(n_basis - min(n_max, cap), 0)
+                    assert len(products) == len(steps) == \
+                        n_basis + n_regenerated
                     if rtol == 1e-8:
                         products.clear()
                         _, stats = solve_family(
                             ops.stiffness, ops.lumped_mass, quad.shifts, z,
-                            labels=quad.l, n_max=n_max, weights=quad.weights)
+                            labels=quad.l, n_max=n_max,
+                            weights=None if weights is None else quad.weights)
                         assert stats.n_alg2 == 0
                         assert stats.n_matvec == len(products)
                 runs[cap] = out, scans[0]
@@ -321,15 +332,29 @@ class TestRegeneratedBasis:
                 assert (got_solved, got_basis) == (n_solved, n_basis)
                 for got, want in zip(got_scan, scan):
                     np.testing.assert_array_equal(got, want)
-                assert np.linalg.norm(got_head - head) <= \
-                    1e-13 * np.linalg.norm(head)
+                # row by row: one solution, or the weighted sum
+                assert np.all(np.linalg.norm(got_head - head, axis=-1) <=
+                              1e-13 * np.linalg.norm(head, axis=-1))
                 if x_last is not None:
                     assert np.linalg.norm(got_last - x_last) <= \
                         1e-13 * np.linalg.norm(x_last)
 
-    def test_default_scan_caps(self):
-        assert SolveOptions().resolved_n_max(2) == 1500
-        assert SolveOptions().resolved_n_max(3) == 250
+    def test_default_scan_caps(self, monkeypatch):
+        # one default scan cap, in 2D, in 3D and in the family solve
+        assert shifted._SCAN_MAX == 1500
+        assert SolveOptions().n_max == shifted._SCAN_MAX
+        assert inspect.signature(solve_family).parameters["n_max"].default \
+            == shifted._SCAN_MAX
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["n_max"])
+            return solve_family(*args, **kwargs)
+
+        monkeypatch.setattr(fractional, "solve_family", spy)
+        for mesh in (unit_square_mesh(8), unit_cube_mesh(4)):
+            fractional_solve(mesh, 0.5, np.ones(mesh.n_interior))
+        assert seen == [shifted._SCAN_MAX] * 2
 
     def test_level_8_state_solve_needs_no_pcg(self):
         # the smallest shift needs about 600 vectors: more than are stored,

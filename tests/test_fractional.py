@@ -10,7 +10,7 @@ from fraclap import (NodalFunction, interpolate, l2_norm, quadrature_for_mesh,
                      read_mesh, sinc_quadrature, solve_all_shifted,
                      spectral_oracle_solve, unit_cube_mesh, unit_square_mesh,
                      write_mesh)
-from fraclap import shifted
+from fraclap import multigrid, shifted
 from fraclap.fem import operators
 from fraclap.fractional import SolveOptions, fractional_solve
 
@@ -65,6 +65,15 @@ class TestSincQuadrature:
             sinc_quadrature(0.0, 0.5)
         with pytest.raises(ValueError):
             sinc_quadrature(0.5, -1.0)
+
+
+class TestSolveOptions:
+    def test_k_takes_no_c_k(self):
+        # a c_k next to k used to be accepted and ignored
+        with pytest.raises(ValueError, match="c_k"):
+            SolveOptions(k=0.5, c_k=3.0)
+        assert SolveOptions(k=0.5).k == 0.5
+        assert SolveOptions(c_k=3.0).c_k == 3.0
 
 
 class TestFractionalSolve:
@@ -164,6 +173,17 @@ class TestFractionalSolve:
         u2 = fractional_solve(mesh, 0.5, rhs).u.values
         assert len(calls) == 1
         np.testing.assert_array_equal(u1, u2)
+
+    def test_hierarchy_built_at_the_first_preconditioner_set_up(self):
+        # a solve the multishift head finishes builds no hierarchy
+        mesh = unit_square_mesh(32)
+        z = interpolate(mesh, eigen_rhs)
+        res = fractional_solve(mesh, 0.5, z)
+        assert res.stats.n_prec_setups == 0
+        assert mesh not in multigrid._hierarchy_cache
+        res = fractional_solve(mesh, 0.5, z, SolveOptions(n_max=20))
+        assert res.stats.n_prec_setups > 0
+        assert mesh in multigrid._hierarchy_cache
 
     def test_3d_smoke(self):
         mesh = unit_cube_mesh(4)

@@ -49,6 +49,18 @@ class TestNormalize:
             normalize(sp.eye(2).tocsr(), np.array([1.0, 0.0]),
                       np.array([1.0]), np.ones(2))
 
+    def test_rejects_nan_shift(self):
+        # unchecked, the scan ran to n_max and the tail's preconditioner
+        # failed on a NaN diagonal
+        mesh = unit_square_mesh(8)
+        ops = operators(mesh)
+        shifts = np.array([10.0, np.nan, 0.1])
+        Z = np.ones(mesh.n_interior)
+        with pytest.raises(ValueError, match="shifts"):
+            normalize(ops.stiffness, ops.lumped_mass, shifts, Z)
+        with pytest.raises(ValueError, match="shifts"):
+            solve_family(ops.stiffness, ops.lumped_mass, shifts, Z)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf],
                              ids=["nan", "inf"])
     def test_rejects_mass_that_is_not_finite(self, bad):
@@ -210,6 +222,11 @@ class TestMultishift:
         ({"rtol": float("nan")}, "rtol"),
         ({"rtol": float("inf")}, "rtol"),
         ({"rtol": 0.0, "n_max": 5}, "rtol"),    # the tail gets systems
+        # 41 shifts; a 42nd weight used to be dropped without a word
+        ({"weights": np.ones(42)}, "weights"),
+        ({"weights": np.ones(40)}, "weights"),
+        ({"labels": np.arange(42)}, "labels"),
+        ({"labels": list(range(40))}, "labels"),
     ])
     def test_rejects_invalid_inputs_by_name(self, kwargs, name):
         mesh = unit_square_mesh(8)
