@@ -206,12 +206,12 @@ def _step(family: ShiftedFamily, q, q_prev, b_prev, tmp, a_j=None):
 def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float):
     """Lanczos basis of A~ from the scaled right-hand side.
 
-    Returns ``(Q, a, b, done)``: the stored basis, whose first ``min(len(a),
-    _STORED_MAX)`` rows are the first basis vectors, the diagonal ``a`` and
-    the off-diagonal ``b`` of the tridiagonal, with ``b[-1]`` the norm of the
-    last residual.  Past ``min(n_max, _STORED_MAX)`` vectors the scan keeps
-    only the last two, and ``_combine`` rebuilds the rest from ``a`` and
-    ``b``.  ``Q`` is the operator's spare basis, popped from
+    Returns ``(Q, a, b, done)``: the stored basis, whose first ``len(a)``
+    rows (all, when it has fewer) are the first basis vectors, the diagonal
+    ``a`` and the off-diagonal ``b`` of the tridiagonal, with ``b[-1]`` the
+    norm of the last residual.  Past ``min(n_max, _STORED_MAX)`` vectors the
+    scan keeps only the last two, and ``_combine`` rebuilds the rest from
+    ``a`` and ``b``.  ``Q`` is the operator's spare basis, popped from
     ``family.spare`` for the scan (the caller puts it back), or a new one
     when a concurrent scan holds it or it has too few rows.
 
@@ -271,14 +271,14 @@ def _combine(family: ShiftedFamily, Q: np.ndarray, a: np.ndarray,
     K = Q.shape[0]
     out = C[:, :K] @ Q
     tmp = np.empty(family.n)
-    terms = np.empty_like(out)
     q_prev, q = (Q[K - 2] if K > 1 else None), Q[K - 1]
     for j in range(K - 1, a.size - 1):
         w, _ = _step(family, q, q_prev, b[j - 1], tmp, a[j])
         w /= b[j]
         q_prev, q = q, w
-        np.multiply(C[:, j + 1, None], q, out=terms)
-        out += terms
+        for x, c in zip(out, C[:, j + 1]):
+            np.multiply(c, q, out=tmp)
+            x += tmp
     return out
 
 
@@ -288,13 +288,13 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
     With ``T = V diag(theta) V^T`` the basis' tridiagonal, shift ``sigma``
     has the solution ``beta0 Q^T V (V[0] / (theta + sigma))`` and the
     residual ``beta0 prod(b) / prod(theta + sigma)``.  Returns ``(n_solved,
-    n_basis, head, x_last)``: the number of leading shifts solved, the basis
-    size, their solutions (or with ``weights`` the weighted sum over them)
-    in scaled space, and the last solved shift's solution when the tail
-    still has systems (else None).  At most ``_STORED_MAX`` basis vectors
-    are kept; ``_combine`` forms every wanted combination, sweeping a basis
-    that outgrew them a second time, at one more matvec per vector beyond
-    them.
+    n_basis, n_products, head, x_last)``: the number of leading shifts
+    solved, the basis size, the matvecs spent, their solutions (or with
+    ``weights`` the weighted sum over them) in scaled space, and the last
+    solved shift's solution when the tail still has systems (else None).
+    ``_combine`` forms every wanted combination from the basis vectors the
+    scan kept, sweeping a basis that outgrew them a second time, at one more
+    matvec per vector beyond them.
     """
     S = family.n_shifts
     sig = family.shifts_scaled
@@ -302,7 +302,7 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
     if beta0 == 0.0:                    # zero solutions, no work
         head = np.zeros(family.n) if weights is not None else \
             np.zeros((S, family.n))
-        return S, 0, head, None
+        return S, 0, 0, head, None
     basis, a, b, done = _lanczos(family, n_max, tol_abs)
     theta, V = eigh_tridiagonal(a, b[:-1])
     n_solved = S
@@ -320,11 +320,14 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
     # start
     tail = 0 < n_solved < S
     C = (V @ G).T if weights is None else \
-        np.array([V @ (G @ weights[:n_solved])] + [V @ G[:, -1]] * tail)
-    sums = _combine(family, basis[:min(len(a), _STORED_MAX)], a, b, C)
+        np.array([V @ (G @ weights[:n_solved])]
+                 + ([V @ G[:, -1]] if tail else []))
+    stored = basis[:len(a)]
+    sums = _combine(family, stored, a, b, C)
     family.spare["Q"] = basis           # done with it: the next scan's spare
     head = sums if weights is None else sums[0]
-    return n_solved, len(a), head, sums[-1] if tail else None
+    return (n_solved, len(a), 2 * len(a) - len(stored), head,
+            sums[-1] if tail else None)
 
 
 def _pcg(op, x0, r0, prec, tol, maxiter):
@@ -570,7 +573,8 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
         weights = np.asarray(weights, dtype=float)[order]
 
     tol_abs = rtol * float(np.linalg.norm(family.rhs_scaled))
-    n_solved, n_basis, head, x_start = _head(family, n_max, tol_abs, weights)
+    n_solved, n_basis, n_products, head, x_start = _head(
+        family, n_max, tol_abs, weights)
     if rtol == 0.0 and n_solved < family.n_shifts:
         raise ValueError(
             f"rtol = 0 leaves {family.n_shifts - n_solved} systems to PCG, "
@@ -584,7 +588,7 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
         n_alg1=n_solved, n_alg2=pcg.n_alg2,
         crossover=family.labels[n_solved - 1] if n_solved else None,
         n_prec_setups=pcg.n_prec_setups,
-        n_matvec=n_basis + max(n_basis - _STORED_MAX, 0) + pcg.n_matvec)
+        n_matvec=n_products + pcg.n_matvec)
     if weights is not None:
         return family.unnormalize(head + tail), stats
     rows = family.unnormalize(np.vstack([head, tail]))

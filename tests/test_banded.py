@@ -310,9 +310,9 @@ class TestRegeneratedBasis:
                     family.spare.clear()
                     out = shifted._head(family, n_max, tol_abs, weights)
                     assert family.spare["Q"].shape[0] == min(n_max, cap)
-                    n_basis = out[1]
+                    n_basis, n_products = out[1:3]
                     n_regenerated = max(n_basis - min(n_max, cap), 0)
-                    assert len(products) == len(steps) == \
+                    assert len(products) == len(steps) == n_products == \
                         n_basis + n_regenerated
                     if rtol == 1e-8:
                         products.clear()
@@ -323,11 +323,11 @@ class TestRegeneratedBasis:
                         assert stats.n_alg2 == 0
                         assert stats.n_matvec == len(products)
                 runs[cap] = out, scans[0]
-            (n_solved, n_basis, head, x_last), scan = \
+            (n_solved, n_basis, _, head, x_last), scan = \
                 runs.pop(shifted._STORED_MAX)
             assert n_basis > 20
             assert (x_last is None) == (rtol == 1e-8)
-            for (got_solved, got_basis, got_head, got_last), got_scan in \
+            for (got_solved, got_basis, _, got_head, got_last), got_scan in \
                     runs.values():
                 assert (got_solved, got_basis) == (n_solved, n_basis)
                 for got, want in zip(got_scan, scan):

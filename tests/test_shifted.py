@@ -222,6 +222,7 @@ class TestMultishift:
         ({"rtol": float("nan")}, "rtol"),
         ({"rtol": float("inf")}, "rtol"),
         ({"rtol": 0.0, "n_max": 5}, "rtol"),    # the tail gets systems
+        ({"rtol": 0.0, "n_max": 5, "weights": np.ones(41)}, "rtol"),
         # 41 shifts; a 42nd weight used to be dropped without a word
         ({"weights": np.ones(42)}, "weights"),
         ({"weights": np.ones(40)}, "weights"),
@@ -305,7 +306,7 @@ class TestActiveSetScan:
         rtol = 1e-9
         solved = []
         for n_max in (30, 60):
-            n_solved, n_basis, rows, _ = self._head(fam, n_max, rtol)
+            n_solved, n_basis, _, rows, _ = self._head(fam, n_max, rtol)
             m_ref, n_ref, sols_ref = full_width_scan(fam, n_max, rtol)
             assert n_solved == np.count_nonzero(m_ref)
             assert n_basis == n_ref
@@ -324,7 +325,7 @@ class TestActiveSetScan:
         rtol = 1e-9
         b = fam.rhs_scaled
         for n_max in (30, 60):
-            n_solved, _, rows, _ = self._head(fam, n_max, rtol)
+            n_solved, _, _, rows, _ = self._head(fam, n_max, rtol)
             for x, sigma in zip(rows, fam.shifts_scaled[:n_solved]):
                 r = b - fam.apply_scaled(x) - sigma * x
                 assert np.linalg.norm(r) <= rtol * np.linalg.norm(b)
@@ -332,8 +333,8 @@ class TestActiveSetScan:
     def test_weighted_equals_weighted_rows(self):
         fam, quad = self._family(0.05)
         w = quad.weights[::-1]              # family order is decreasing shift
-        n_solved, _, rows, x_last = self._head(fam, 30, 1e-9)
-        _, _, combined, _ = self._head(fam, 30, 1e-9, weights=w)
+        n_solved, _, _, rows, x_last = self._head(fam, 30, 1e-9)
+        _, _, _, combined, _ = self._head(fam, 30, 1e-9, weights=w)
         expected = w[:n_solved] @ rows
         assert np.linalg.norm(combined - expected) <= \
             1e-13 * np.linalg.norm(expected)
@@ -645,3 +646,16 @@ class TestStats:
                                    n_max=50, weights=quad.weights)
         np.testing.assert_allclose(combined, quad.weights @ sols,
                                    rtol=1e-9, atol=1e-13)
+
+    def test_weighted_solve_with_empty_head(self):
+        # one basis vector solves neither shift: PCG takes every system
+        mesh = unit_square_mesh(8)
+        ops = operators(mesh)
+        shifts, w = np.array([0.5, 5.0]), np.array([0.3, 0.7])
+        Z = assemble_rhs(mesh)
+        sols, stats = solve_family(ops.stiffness, ops.lumped_mass, shifts, Z,
+                                   rtol=1e-11, n_max=1)
+        assert stats.n_alg1 == 0
+        combined, _ = solve_family(ops.stiffness, ops.lumped_mass, shifts, Z,
+                                   rtol=1e-11, n_max=1, weights=w)
+        np.testing.assert_allclose(combined, w @ sols, rtol=1e-9, atol=1e-13)
