@@ -16,6 +16,12 @@ One optimizer serves both modes: a projected gradient phase with spectral
 the objective is non-increasing across accepted iterates; once objective
 differences sink below the noise of the inner solves, an active-set polish
 finishes the optimality system directly.
+
+All its fractional solves share one operator.  On a 2D mesh the solver
+first has that operator keep its lowest eigenpairs (``shifted._deflate``,
+once per operator, not counted in the solve statistics), which every later
+Lanczos scan on it deflates; ``objective`` and ``reduced_gradient`` build
+no such space.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from . import fem
 from .fem import CellwiseFunction, NodalFunction
 from .fractional import SolveOptions, fractional_solve
 from .mesh import Mesh
-from .shifted import SolveStats
+from .shifted import SolveStats, _deflate
 
 __all__ = [
     "ControlProblem",
@@ -196,6 +202,10 @@ def _solve(problem: ControlProblem, tol: float,
     """
     red = _Reduced(problem)
     mesh = problem.mesh
+    if mesh.dim == 2:
+        # every fractional solve below, on this operator, deflates its
+        # lowest eigenmodes; in 3D the sparse LU this takes fills too much
+        _deflate(red.ops.stiffness, red.ops.lumped_mass)
     lo, up, mu = problem.lower, problem.upper, problem.mu
     n = mesh.n_interior if problem.mode == VARIATIONAL else mesh.n_cells
     z = np.clip(z0.copy() if z0 is not None else np.zeros(n), lo, up)

@@ -23,32 +23,41 @@ basis vectors, so ``n_max`` caps the scan and not memory: past that row the
 scan keeps two rolling vectors and the tridiagonal, and the head's
 combinations are completed in a second pass that regenerates the dropped
 vectors through the scan's own ``_step``, hence with its bits (two-pass
-Lanczos; Frommer & Simoncini, 2008).  The remaining (small-shift)
-systems are solved sequentially by preconditioned CG, rebuilding the
-preconditioner whenever the previous system needed more than ``_ITER_CAP``
-iterations.  Each system starts from its neighbor's solution, and since
-all systems share the right-hand side its initial residual follows from
-the neighbor's final residual without a matvec; while the solution stays
-fixed, the norm of that carried residual follows from three inner products,
-so a system whose warm start already meets the tolerance costs O(1) work.
-A system whose carried residual misses starts instead from the combination
-of the last four stored solutions that minimizes its residual, a p x p
-least-squares problem in their stored inner products, and pays one matvec
-for that start's true residual.  ``solve_family`` is the one entry point
-that runs these stages in sequence; it returns either every solution or
-their weighted combination.
+Lanczos; Frommer & Simoncini, 2008).  An operator can also keep its
+``_DEFLATE`` lowest eigenpairs, built once on request (``_deflate``, which
+the control solver calls); a scan on it then starts from the right-hand
+side with those modes taken out, adds their exact part to every solution,
+and stops on the tolerance less the modes' residual bound, so the basis no
+longer grows to resolve the lowest modes for the smallest shifts.  The
+remaining (small-shift) systems are solved sequentially by preconditioned
+CG, rebuilding the preconditioner whenever the previous system needed more
+than ``_ITER_CAP`` iterations.  Each system starts from its neighbor's
+solution, and since all systems share the right-hand side its initial
+residual follows from the neighbor's final residual without a matvec; while
+the solution stays fixed, the norm of that carried residual follows from
+three inner products, so a system whose warm start already meets the
+tolerance costs O(1) work.  A system whose carried residual misses starts
+instead from the combination of the last four stored solutions that
+minimizes its residual, a p x p least-squares problem in their stored inner
+products, and pays one matvec for that start's true residual.
+``solve_family`` is the one entry point that runs these stages in sequence;
+it returns either every solution or their weighted combination.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
+import time
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 splu)
 
 from . import multigrid
 
@@ -59,6 +68,8 @@ __all__ = [
     "solve_preconditioned",
     "solve_family",
 ]
+
+_log = logging.getLogger("fraclap")
 
 
 @dataclass(eq=False)
@@ -90,8 +101,9 @@ class ShiftedFamily:
     ``A_scaled`` is the prescaled operator A~ on A's sparsity pattern, as
     ``multigrid._banded`` stores it (DIA or CSR), so that
     ``apply_scaled`` (used by the Lanczos scan and by PCG) is one sparse
-    matvec.  ``spare`` is the operator's spare Lanczos basis, shared by every
-    family on it, under the key ``"Q"`` while no scan holds it.
+    matvec.  ``spare`` holds what every family on the operator shares: its
+    spare Lanczos basis under ``"Q"`` while no scan holds it, and, once
+    ``_deflate`` has run, its deflation space under ``"deflation"``.
     """
 
     A: sp.csr_matrix
@@ -126,8 +138,9 @@ class ShiftedFamily:
 # scaled operator per stiffness matrix object, with the lumped mass object
 # it was scaled with; both are treated as immutable.  The repeated solves on
 # one mesh scale it once, a solve with another mass replaces the entry, and
-# the entry is dropped, with its spare basis, when its stiffness matrix is
-# garbage collected.  The lock makes the check and the build one step.
+# the entry is dropped, with its spare basis and deflation space, when its
+# stiffness matrix is garbage collected.  The lock makes the check and the
+# build one step.
 _scaled_cache: dict = {}
 _scaled_lock = threading.Lock()
 
@@ -145,9 +158,10 @@ def _scale_operator(A: sp.csr_matrix, lumped_mass: np.ndarray):
     return multigrid._banded(scaled), rho, d
 
 
-def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
-              Z: np.ndarray, labels=None) -> ShiftedFamily:
-    """Scale the family to identity shifts with unit operator sup-norm."""
+def _entry(A: sp.spmatrix, lumped_mass: np.ndarray) -> tuple:
+    """The ``_scaled_cache`` entry of ``A`` scaled with ``lumped_mass``:
+    ``(lumped_mass, A as CSR, mass as float array, A~, rho, d, spare)``,
+    built on the first call and rebuilt when the mass object changes."""
     key = id(A)
     with _scaled_lock:
         entry = _scaled_cache.get(key)
@@ -162,7 +176,13 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
             entry = (lumped_mass, A_csr, mass) \
                 + _scale_operator(A_csr, mass) + ({},)
             _scaled_cache[key] = entry
-    _, A, lumped_mass, scaled, rho, d, spare = entry
+    return entry
+
+
+def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
+              Z: np.ndarray, labels=None) -> ShiftedFamily:
+    """Scale the family to identity shifts with unit operator sup-norm."""
+    _, A, lumped_mass, scaled, rho, d, spare = _entry(A, lumped_mass)
     shifts = np.asarray(shifts, dtype=float)
     if np.any(np.isnan(shifts)):
         raise ValueError("shifts must not be NaN")
@@ -179,6 +199,50 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
         shifts=shifts[order], shifts_scaled=shifts[order] / rho,
         labels=labels[order], rhs=Z, rhs_scaled=d * Z / rho,
         inv_sqrt_mass=d, spare=spare)
+
+
+# lowest eigenpairs of A~ that a deflated scan takes out of its start vector
+_DEFLATE = 30
+
+
+def _deflate(A: sp.spmatrix, lumped_mass: np.ndarray) -> None:
+    """Keep the ``_DEFLATE`` lowest eigenpairs of A~ with the operator, for
+    every later scan on it (see ``_head``), unless it already has them or
+    has been tried.
+
+    The rows of ``U`` are the eigenvectors, from shift-invert ARPACK at zero
+    through one sparse LU of A~ that is freed afterwards; ``eps`` holds the
+    explicit residual norms ``|A~ u_i - lam_i u_i|``.  The space goes under
+    ``"deflation"`` in the operator's ``spare`` dictionary as ``(U, lam,
+    eps)``, or as None for an operator with at most ``4 * _DEFLATE`` rows
+    or an eigensolve that does not converge, so it dies with the stiffness
+    matrix or a change of mass.
+    """
+    entry = _entry(A, lumped_mass)
+    scaled, spare = entry[3], entry[6]
+    if "deflation" in spare:
+        return
+    n = scaled.shape[0]
+    start = time.perf_counter()
+    space = None
+    if n <= 4 * _DEFLATE:
+        outcome = "skipped: too few dofs"
+    else:
+        lu = splu(sp.csc_matrix(scaled), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0, options={"SymmetricMode": True})
+        try:
+            lam, V = eigsh(scaled, _DEFLATE, sigma=0.0, v0=np.ones(n),
+                           OPinv=LinearOperator(scaled.shape, lu.solve,
+                                                dtype=float))
+        except ArpackNoConvergence:
+            outcome = "skipped: eigsh did not converge"
+        else:
+            eps = np.linalg.norm(scaled @ V - V * lam, axis=0)
+            space = (np.ascontiguousarray(V.T), lam, eps)
+            outcome = f"kept {lam.size} modes, max eps {eps.max():.2e}"
+    spare.setdefault("deflation", space)
+    _log.debug("deflation space, n = %d: %s, %.3f s", n, outcome,
+               time.perf_counter() - start)
 
 
 # basis vectors a family solve keeps; the scan's later ones are regenerated
@@ -203,8 +267,9 @@ def _step(family: ShiftedFamily, q, q_prev, b_prev, tmp, a_j=None):
     return w, a_j
 
 
-def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float):
-    """Lanczos basis of A~ from the scaled right-hand side.
+def _lanczos(family: ShiftedFamily, z: np.ndarray, n_max: int,
+             tol_abs: float):
+    """Lanczos basis of A~ from the start vector ``z``.
 
     Returns ``(Q, a, b, done)``: the stored basis, whose first ``len(a)``
     rows (all, when it has fewer) are the first basis vectors, the diagonal
@@ -223,7 +288,6 @@ def _lanczos(family: ShiftedFamily, n_max: int, tol_abs: float):
     smallest shift means the operator is not positive definite.
     """
     n_stored = min(n_max, _STORED_MAX)
-    z = family.rhs_scaled
     beta0 = float(np.linalg.norm(z))
     sigma = family.shifts_scaled[-1]
     Q = family.spare.pop("Q", None)
@@ -295,38 +359,66 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
     ``_combine`` forms every wanted combination from the basis vectors the
     scan kept, sweeping a basis that outgrew them a second time, at one more
     matvec per vector beyond them.
+
+    When the operator keeps a deflation space ``(U, lam, eps)`` (see
+    ``_deflate``), the scan starts from ``b_perp = b - U^T c``, ``c = U b``,
+    and every solution gains the modal part ``U^T (c / (lam + sigma))``.  A
+    shift's true residual is then the scan's minus ``E (c / (lam +
+    sigma))``, ``E = A~ U^T - U^T diag(lam)`` with column norms ``eps``, so
+    the scan stops on ``tol_abs - sum_i eps_i |c_i| / (lam_i + sigma_min)``.
+    The space is used when that bound takes at most half the tolerance.
+    Exact eigenvectors of A~ are eigenvectors of every ``A~ + sigma I``, so
+    the scan no longer resolves the lowest modes for the smallest shifts
+    (Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000).  A
+    start vector that already meets the tolerance, such as a zero rhs,
+    needs no scan.
     """
     S = family.n_shifts
     sig = family.shifts_scaled
-    beta0 = float(np.linalg.norm(family.rhs_scaled))
-    if beta0 == 0.0:                    # zero solutions, no work
-        head = np.zeros(family.n) if weights is not None else \
-            np.zeros((S, family.n))
-        return S, 0, 0, head, None
-    basis, a, b, done = _lanczos(family, n_max, tol_abs)
-    theta, V = eigh_tridiagonal(a, b[:-1])
-    n_solved = S
-    if not done:
-        # the residuals in log space, as the large shifts' underflow
-        # directly; they increase along the family, so the shifts that meet
-        # the tolerance are a prefix
-        log_res = (math.log(beta0) + np.log(b).sum()
-                   - np.log(theta[:, None] + sig[None, :]).sum(axis=0))
-        with np.errstate(divide="ignore"):      # rtol = 0 solves nothing
-            n_solved = int(np.count_nonzero(log_res <= np.log(tol_abs)))
-    G = beta0 * V[0][:, None] / (theta[:, None] + sig[None, :n_solved])
-    # the head's solutions, or their weighted sum and the tail's start, as
-    # combinations of the basis vectors; with a tail, the last row is its
-    # start
-    tail = 0 < n_solved < S
-    C = (V @ G).T if weights is None else \
-        np.array([V @ (G @ weights[:n_solved])]
-                 + ([V @ G[:, -1]] if tail else []))
-    stored = basis[:len(a)]
-    sums = _combine(family, stored, a, b, C)
-    family.spare["Q"] = basis           # done with it: the next scan's spare
+    z = family.rhs_scaled
+    modal = None                        # per shift: its coefficients in U
+    space = family.spare.get("deflation")
+    if space is not None and space[1][0] + sig[-1] > 0.0:
+        U, lam, eps = space
+        c = U @ z
+        bound = float(eps @ (np.abs(c) / (lam + sig[-1])))
+        if bound <= 0.5 * tol_abs:
+            z = z - c @ U
+            tol_abs -= bound
+            modal = c / (lam[None, :] + sig[:, None])
+    beta0 = float(np.linalg.norm(z))
+    n_solved, n_basis, n_products, tail = S, 0, 0, False
+    if beta0 <= tol_abs:                # the zero start solves every shift
+        sums = np.zeros((1 if weights is not None else S, family.n))
+    else:
+        basis, a, b, done = _lanczos(family, z, n_max, tol_abs)
+        theta, V = eigh_tridiagonal(a, b[:-1])
+        if not done:
+            # the residuals in log space, as the large shifts' underflow
+            # directly; they increase along the family, so the shifts that
+            # meet the tolerance are a prefix
+            log_res = (math.log(beta0) + np.log(b).sum()
+                       - np.log(theta[:, None] + sig[None, :]).sum(axis=0))
+            with np.errstate(divide="ignore"):  # rtol = 0 solves nothing
+                n_solved = int(np.count_nonzero(log_res <= np.log(tol_abs)))
+        tail = 0 < n_solved < S
+        G = beta0 * V[0][:, None] / (theta[:, None] + sig[None, :n_solved])
+        # the head's solutions, or their weighted sum and the tail's start,
+        # as combinations of the basis vectors; with a tail, the last row is
+        # its start
+        C = (V @ G).T if weights is None else \
+            np.array([V @ (G @ weights[:n_solved])]
+                     + ([V @ G[:, -1]] if tail else []))
+        stored = basis[:len(a)]
+        sums = _combine(family, stored, a, b, C)
+        family.spare["Q"] = basis       # done with it: the next scan's spare
+        n_basis, n_products = len(a), 2 * len(a) - len(stored)
+    if modal is not None:
+        F = modal[:n_solved]
+        sums += (F if weights is None else np.array(
+            [weights[:n_solved] @ F] + ([F[-1]] if tail else []))) @ U
     head = sums if weights is None else sums[0]
-    return (n_solved, len(a), 2 * len(a) - len(stored), head,
+    return (n_solved, n_basis, n_products, head,
             sums[-1] if tail else None)
 
 

@@ -1,13 +1,19 @@
 """Optimal control solvers: gradients, optimality, and post-processing."""
 
+import logging
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from fraclap import (CellwiseFunction, NodalFunction, interpolate, objective,
-                     post_process, project_box, reduced_gradient,
-                     solve_fully_discrete, solve_variational,
-                     spectral_oracle_solve, unit_square_mesh)
+from fraclap import (CellwiseFunction, NodalFunction, fractional_solve,
+                     interpolate, objective, post_process, project_box,
+                     reduced_gradient, solve_fully_discrete,
+                     solve_variational, spectral_oracle_solve, unit_cube_mesh,
+                     unit_square_mesh)
 import fraclap.control
+import fraclap.shifted
 from fraclap.control import FULLY_DISCRETE, VARIATIONAL, ControlProblem
 from fraclap.fem import operators, project_p0
 from fraclap.fractional import SolveOptions
@@ -342,3 +348,95 @@ def test_polish_makes_no_zero_load_solve(monkeypatch):
     # only the state of the zero start has a zero load
     assert not np.any(loads[0])
     assert all(np.any(load) for load in loads[1:])
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The operator sizes of every eigensolve the library runs."""
+    calls = []
+    eigsh = fraclap.shifted.eigsh
+
+    def spy(A, *args, **kwargs):
+        calls.append(A.shape[0])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(fraclap.shifted, "eigsh", spy)
+    return calls
+
+
+def deflation_space(mesh):
+    """What the operator keeps under ``"deflation"``, or "absent"."""
+    ops = operators(mesh)
+    spare = fraclap.shifted._entry(ops.stiffness, ops.lumped_mass)[-1]
+    return spare.get("deflation", "absent")
+
+
+class TestDeflation:
+    """A 2D control solve has the lowest eigenmodes of its operator taken
+    out of every scan, from a space built once per operator and before the
+    first fractional solve."""
+
+    def test_repeated_solves_repeat_bit_for_bit(self, eigsh_calls):
+        mesh = unit_square_mesh(32)
+        prob = make_problem(mesh, VARIATIONAL)
+        first = solve_variational(prob)
+        second = solve_variational(prob)
+        assert eigsh_calls == [mesh.n_interior]
+        assert deflation_space(mesh)[0].shape == \
+            (fraclap.shifted._DEFLATE, mesh.n_interior)
+        np.testing.assert_array_equal(first.control.values,
+                                      second.control.values)
+        assert first.stats.n_matvec == second.stats.n_matvec
+        assert first.iterations == second.iterations
+
+    def test_no_eigensolve_outside_a_2d_control_solve(self, eigsh_calls):
+        mesh = unit_square_mesh(32)
+        prob = make_problem(mesh, VARIATIONAL)
+        z = np.zeros(mesh.n_interior)
+        objective(prob, z)
+        reduced_gradient(prob, z)
+        fractional_solve(mesh, 0.5, prob.desired)
+        assert deflation_space(mesh) == "absent"
+        cube = unit_cube_mesh(8)
+        sol = solve_variational(make_problem(cube, VARIATIONAL))
+        assert sol.residual <= 1e-5 * math.sqrt(cube.h ** 3)
+        assert deflation_space(cube) == "absent"
+        assert eigsh_calls == []
+
+    def test_small_operator_keeps_no_space(self, eigsh_calls):
+        # 4 * _DEFLATE = 120 dofs: 11^2 = 121 gets a space, 10^2 does not
+        small, large = unit_square_mesh(11), unit_square_mesh(12)
+        assert small.n_interior <= 4 * fraclap.shifted._DEFLATE \
+            < large.n_interior
+        for mesh in (small, large):
+            solve_variational(make_problem(mesh, VARIATIONAL))
+        assert eigsh_calls == [large.n_interior]
+        assert deflation_space(small) is None
+        assert deflation_space(large) is not None
+
+    def test_non_converging_eigensolve_keeps_no_space(self, monkeypatch):
+        def no_convergence(A, k, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                      np.empty(0), np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(fraclap.shifted, "eigsh", no_convergence)
+        mesh = unit_square_mesh(16)
+        sol = solve_variational(make_problem(mesh, VARIATIONAL))
+        assert deflation_space(mesh) is None
+        assert sol.residual <= 1e-5 * mesh.h
+
+    def test_one_debug_record_per_space(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="fraclap")
+        mesh, small = unit_square_mesh(32), unit_square_mesh(8)
+        prob = make_problem(mesh, VARIATIONAL)
+        solve_variational(prob)
+        solve_variational(prob)
+        objective(prob, np.zeros(mesh.n_interior))
+        solve_variational(make_problem(small, VARIATIONAL))
+        records = [r for r in caplog.records if r.name == "fraclap"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        built, skipped = (r.getMessage() for r in records)
+        assert f"n = {mesh.n_interior}:" in built
+        assert f"kept {fraclap.shifted._DEFLATE} modes, max eps" in built
+        assert built.endswith(" s")
+        assert f"n = {small.n_interior}: skipped" in skipped

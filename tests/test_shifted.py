@@ -1,13 +1,15 @@
 """Shifted-family normalization, multishift CG, and sequential PCG."""
 
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fraclap import normalize, shifted, solve_family, unit_square_mesh
-from fraclap.fem import lump_mass, operators
+from fraclap import (normalize, read_mesh, shifted, solve_family,
+                     unit_square_mesh, write_mesh)
+from fraclap.fem import assemble_load, lump_mass, operators
 from fraclap.fractional import quadrature_for_mesh, sinc_quadrature
 from fraclap.harness import hat_rhs
 from fraclap.shifted import _head, solve_preconditioned
@@ -659,3 +661,205 @@ class TestStats:
         combined, _ = solve_family(ops.stiffness, ops.lumped_mass, shifts, Z,
                                    rtol=1e-11, n_max=1, weights=w)
         np.testing.assert_allclose(combined, w @ sols, rtol=1e-9, atol=1e-13)
+
+
+def jittered_square(path, m):
+    """``unit_square_mesh(m)`` with jittered interior vertices, read back
+    from ``path``: a mesh with non-uniform lumped mass."""
+    grid = unit_square_mesh(m)
+    vertices = grid.vertices.copy()
+    vertices[grid.interior] += 0.1 * grid.h * np.random.default_rng(3) \
+        .uniform(-1.0, 1.0, (grid.n_interior, 2))
+    write_mesh(dataclasses.replace(grid, vertices=vertices), path)
+    return read_mesh(path)
+
+
+@pytest.fixture(scope="module")
+def deflation_meshes(tmp_path_factory):
+    """The meshes of the deflated-head tests, built once per module, with
+    the deflation space of each kept on its stiffness matrix."""
+    meshes = {"square32": unit_square_mesh(32),
+              "square64": unit_square_mesh(64),
+              "perturbed32": jittered_square(
+                  tmp_path_factory.mktemp("mesh") / "jittered32.txt", 32)}
+    for mesh in meshes.values():
+        ops = operators(mesh)
+        shifted._deflate(ops.stiffness, ops.lumped_mass)
+    return meshes
+
+
+MESHES = ["square32", "square64", "perturbed32"]
+
+
+def deflation_rhs(mesh):
+    """The hat load on a grid, a smooth load without its symmetries on the
+    jittered mesh."""
+    if mesh.cells_per_side is not None:
+        return assemble_rhs(mesh)
+    return assemble_load(mesh, lambda x: np.exp(x[:, 0]) * (1.0 + x[:, 1]))
+S_VALUES = [0.05, 0.5, 0.95]
+
+
+class TestDeflatedHead:
+    """Scans that start from the rhs with the operator's lowest eigenmodes
+    taken out, and add those modes' exact part back to every solution."""
+
+    RTOL = 1e-8
+
+    def _family(self, mesh, s, Z=None, deflated=True):
+        ops = operators(mesh)
+        # a copy of the stiffness matrix is an operator without the space
+        A = ops.stiffness if deflated else ops.stiffness.copy()
+        quad = quadrature_for_mesh(s, mesh.h)
+        Z = deflation_rhs(mesh) if Z is None else Z
+        fam = normalize(A, ops.lumped_mass, quad.shifts, Z, labels=quad.l)
+        assert (fam.spare.get("deflation") is not None) == deflated
+        return fam, quad.weights[::-1]      # family order: decreasing shift
+
+    def _head(self, fam, n_max=shifted._SCAN_MAX, weights=None):
+        tol_abs = self.RTOL * np.linalg.norm(fam.rhs_scaled)
+        return _head(fam, n_max, tol_abs, weights)
+
+    def _assert_rows_meet_rtol(self, fam, rows):
+        b = fam.rhs_scaled
+        for x, sigma in zip(rows, fam.shifts_scaled):
+            r = b - fam.apply_scaled(x) - sigma * x
+            assert np.linalg.norm(r) <= self.RTOL * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("s", S_VALUES)
+    @pytest.mark.parametrize("name", MESHES)
+    def test_head_rows_meet_rtol(self, deflation_meshes, name, s):
+        fam, _ = self._family(deflation_meshes[name], s)
+        n_solved, n_basis, _, rows, _ = self._head(fam)
+        assert n_solved == fam.n_shifts
+        self._assert_rows_meet_rtol(fam, rows)
+        # the lowest modes no longer set the basis size
+        plain, _ = self._family(deflation_meshes[name], s, deflated=False)
+        assert n_basis < self._head(plain)[1]
+
+    @pytest.mark.parametrize("s", S_VALUES)
+    @pytest.mark.parametrize("name", MESHES)
+    def test_u_matches_the_undeflated_solve(self, deflation_meshes, name, s):
+        fam, w = self._family(deflation_meshes[name], s)
+        plain, _ = self._family(deflation_meshes[name], s, deflated=False)
+        u = self._head(fam, weights=w)[3]
+        want = self._head(plain, weights=w)[3]
+        assert np.linalg.norm(u - want) <= 1e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("s", S_VALUES)
+    @pytest.mark.parametrize("name", MESHES)
+    def test_weighted_equals_weighted_rows(self, deflation_meshes, name, s):
+        fam, w = self._family(deflation_meshes[name], s)
+        # a basis of 20 vectors leaves the smallest shifts to the tail
+        n_solved, _, _, rows, _ = self._head(fam, 20)
+        _, _, _, combined, x_start = self._head(fam, 20, weights=w)
+        assert 0 < n_solved < fam.n_shifts
+        expected = w[:n_solved] @ rows
+        assert np.linalg.norm(combined - expected) <= \
+            1e-13 * np.linalg.norm(expected)
+        # the tail starts from the last head row, modal part included
+        assert np.linalg.norm(x_start - rows[-1]) <= \
+            1e-13 * np.linalg.norm(rows[-1])
+
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["rows", "weighted"])
+    @pytest.mark.parametrize("s", S_VALUES)
+    @pytest.mark.parametrize("name", MESHES)
+    def test_tail_meets_rtol_from_the_deflated_start(
+            self, deflation_meshes, name, s, weighted):
+        mesh = deflation_meshes[name]
+        ops = operators(mesh)
+        quad = quadrature_for_mesh(s, mesh.h)
+        Z = deflation_rhs(mesh)
+        sols, stats = solve_family(ops.stiffness, ops.lumped_mass,
+                                   quad.shifts, Z, labels=quad.l,
+                                   rtol=self.RTOL, n_max=20)
+        assert 0 < stats.n_alg1 and stats.n_alg2 > 0
+        norm_z = np.linalg.norm(Z)
+        for v, alpha in zip(sols, quad.shifts):
+            r = ops.stiffness @ v + alpha * (ops.lumped_mass * v) - Z
+            assert np.linalg.norm(r) <= self.RTOL * norm_z
+        if weighted:
+            u, _ = solve_family(ops.stiffness, ops.lumped_mass, quad.shifts,
+                                Z, labels=quad.l, rtol=self.RTOL, n_max=20,
+                                weights=quad.weights)
+            want = quad.weights @ sols
+            assert np.linalg.norm(u - want) <= 1e-7 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("s", S_VALUES)
+    @pytest.mark.parametrize("name", MESHES)
+    def test_stopping_test_pays_for_inexact_modes(self, deflation_meshes,
+                                                  name, s):
+        # modes perturbed until their residual bound takes 45% of the
+        # tolerance: a scan that stopped on the full tolerance would leave
+        # the smallest shifts' true residuals above it
+        fam, _ = self._family(deflation_meshes[name], s)
+        U = fam.spare["deflation"][0]
+        b = fam.rhs_scaled
+        tol_abs = self.RTOL * np.linalg.norm(b)
+        noise = np.random.default_rng(5).standard_normal(U.shape)
+
+        def space(delta):
+            V = np.linalg.qr((U + delta * noise).T)[0].T
+            AV = fam.apply_scaled(V.T)
+            lam = np.einsum("ij,ji->i", V, AV)
+            eps = np.linalg.norm(AV - V.T * lam, axis=0)
+            bound = eps @ (np.abs(V @ b) / (lam + fam.shifts_scaled[-1]))
+            return (V, lam, eps), bound
+
+        _, bound = space(1e-6)
+        inexact, bound = space(1e-6 * 0.45 * tol_abs / bound)
+        assert 0.4 * tol_abs < bound <= 0.5 * tol_abs
+        fam = dataclasses.replace(fam, spare={"deflation": inexact})
+        n_solved, _, _, rows, _ = self._head(fam)
+        assert n_solved == fam.n_shifts
+        self._assert_rows_meet_rtol(fam, rows)
+        # the guarantee itself: the scan's own residual plus the modes'
+        # bound, per row
+        V, lam, eps = inexact
+        c = V @ b
+        for x, sigma in zip(rows, fam.shifts_scaled):
+            y = x - (c / (lam + sigma)) @ V
+            r_scan = b - c @ V - fam.apply_scaled(y) - sigma * y
+            assert np.linalg.norm(r_scan) \
+                + eps @ (np.abs(c) / (lam + sigma)) <= tol_abs
+
+    def test_zero_rhs(self, deflation_meshes):
+        mesh = deflation_meshes["square32"]
+        ops = operators(mesh)
+        sols, stats = solve_family(ops.stiffness, ops.lumped_mass,
+                                   np.array([0.5, 5.0]),
+                                   np.zeros(mesh.n_interior))
+        np.testing.assert_array_equal(sols, 0.0)
+        assert stats.n_matvec == 0
+
+    @pytest.mark.parametrize("modes", [[0], [0, 4, 29]],
+                             ids=["eigenvector", "span"])
+    def test_rhs_in_the_space_gets_the_modal_solution(self, deflation_meshes,
+                                                      modes):
+        mesh = deflation_meshes["square32"]
+        ops = operators(mesh)
+        fam, _ = self._family(mesh, 0.5)
+        U, lam, _ = fam.spare["deflation"]
+        coef = np.arange(1.0, len(modes) + 1)
+        # Z with scaled rhs d Z / rho = coef @ U[modes]
+        Z = fam.rho * (coef @ U[modes]) / fam.inv_sqrt_mass
+        sols, stats = solve_family(ops.stiffness, ops.lumped_mass,
+                                   fam.shifts, Z, rtol=self.RTOL)
+        assert stats.n_matvec == 0 and stats.n_alg2 == 0
+        want = (coef / (lam[modes] + fam.shifts_scaled[:, None])) @ U[modes]
+        assert np.linalg.norm(sols / fam.inv_sqrt_mass - want) <= \
+            1e-12 * np.linalg.norm(want)
+
+    def test_shift_below_the_lowest_mode_scans_undeflated(
+            self, deflation_meshes):
+        # lam_1 + sigma <= 0 would make the modes' bound negative; the scan
+        # runs without the space and reports the indefinite system
+        mesh = deflation_meshes["square32"]
+        ops = operators(mesh)
+        fam, _ = self._family(mesh, 0.5)
+        lam_1 = fam.spare["deflation"][1][0]
+        shifts = np.array([1.0, -2.0 * lam_1 * fam.rho])
+        with pytest.raises(RuntimeError, match="breakdown"):
+            solve_family(ops.stiffness, ops.lumped_mass, shifts,
+                         deflation_rhs(mesh))
