@@ -13,21 +13,27 @@ discretizations are supported:
 
 One optimizer serves both modes: a projected gradient phase with spectral
 (Barzilai-Borwein) trial steps and an Armijo backtracking line search, so
-the objective is non-increasing across accepted iterates; once objective
-differences sink below the noise of the inner solves, an active-set polish
-finishes the optimality system directly.
+the objective is non-increasing across accepted iterates; once the
+projected step can no longer descend, or the residual stagnates, an
+active-set polish finishes the optimality system directly.
 
 All its fractional solves share one operator.  On a 2D mesh the solver
-first has that operator keep its lowest eigenpairs (``shifted._deflate``,
-once per operator, not counted in the solve statistics), which every later
-Lanczos scan on it deflates; ``objective`` and ``reduced_gradient`` build
-no such space.
+turns on ``SolveOptions.deflate`` for them, so the operator keeps its
+lowest eigenpairs (built on the first solve, once per operator, not
+counted in the solve statistics) and every Lanczos scan deflates them;
+``objective`` and ``reduced_gradient`` solve with the options as given.
+
+Each iteration of both phases emits one DEBUG record on the
+``fraclap.control`` logger (phase, iteration, residual, objective, step
+length, fractional solves so far and, on a phase's last record, why it
+ended), also attached to the record as its ``control`` attribute.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -36,7 +42,7 @@ from . import fem
 from .fem import CellwiseFunction, NodalFunction
 from .fractional import SolveOptions, fractional_solve
 from .mesh import Mesh
-from .shifted import SolveStats, _deflate
+from .shifted import SolveStats
 
 __all__ = [
     "ControlProblem",
@@ -51,6 +57,8 @@ __all__ = [
 
 VARIATIONAL = "variational"
 FULLY_DISCRETE = "p0"
+
+_log = logging.getLogger(__name__)
 
 # projected gradient steps before the active-set polish takes over
 _MAX_ITERATIONS = 5000
@@ -108,18 +116,22 @@ def project_box(values, lower: float, upper: float):
 
 class _Reduced:
     """Reduced-functional evaluations; every fractional solve goes through
-    ``solve``, which sums its statistics into ``stats``."""
+    ``solve``, which counts it in ``n_solves`` and sums its statistics into
+    ``stats``, deflated when ``deflate`` is set."""
 
-    def __init__(self, problem: ControlProblem):
+    def __init__(self, problem: ControlProblem, deflate: bool = False):
         self.problem = problem
         self.mesh = problem.mesh
         self.ops = fem.operators(problem.mesh)
+        self.options = replace(problem.options, deflate=True) if deflate \
+            else problem.options
         self.stats = SolveStats()
+        self.n_solves = 0
 
     def solve(self, rhs) -> NodalFunction:
         """S applied to ``rhs`` (a P1 or P0 function)."""
-        res = fractional_solve(self.mesh, self.problem.s, rhs,
-                               self.problem.options)
+        res = fractional_solve(self.mesh, self.problem.s, rhs, self.options)
+        self.n_solves += 1
         agg = self.stats
         agg.n_alg1 += res.stats.n_alg1
         agg.n_alg2 += res.stats.n_alg2
@@ -187,25 +199,40 @@ def _stationarity(z, g, lower, upper) -> float:
     return float(np.linalg.norm(z - np.clip(z - g, lower, upper)))
 
 
+def _record(phase: str, it: int, res: float, J: float, t, n_solves: int,
+            reason=None) -> None:
+    """One DEBUG record of a control iteration: its iterate's residual and
+    objective, the step length taken from it (None when the phase ends
+    there), the fractional solves so far, and why the phase ended."""
+    info = {"phase": phase, "iteration": it, "residual": res,
+            "objective": J, "step": t, "solves": n_solves, "exit": reason}
+    _log.debug("control %s iteration %d: residual %.6e, objective %.15e, "
+               "step %s, %d fractional solves, exit %s", phase, it, res, J,
+               "-" if t is None else f"{t:.6e}", n_solves, reason or "-",
+               extra={"control": info})
+
+
 def _solve(problem: ControlProblem, tol: float,
            z0: np.ndarray | None) -> ControlSolution:
     """Two-phase solve of the box-constrained optimality system.
 
     Phase one is a projected gradient method with spectral trial steps and
     Armijo backtracking, so the objective is strictly non-increasing across
-    its accepted steps.  Near the optimum the objective differences drop
-    below the noise of the inner fractional solves and can no longer certify
-    descent, while the projection-formula residual is still above the
-    stopping threshold; from there an active-set polish solves the free-node
-    stationarity system mu*z + g_state = 0 directly (a Krylov solve of the
-    reduced operator), which drives the residual to the threshold.
+    its accepted steps.  It hands over to the polish at its first trial
+    step whose slope is not negative (no solve needed to tell): with the
+    free set fixed, clipping the M-Riesz gradient node by node, paired with
+    the consistent mass matrix, can give an ascent direction that no step
+    length repairs.  It also hands over when the residual stagnates over
+    six steps or the line search fails.  The active-set polish then solves
+    the free-node stationarity system mu*z + g_state = 0 directly (a Krylov
+    solve of the reduced operator), which drives the residual to the
+    threshold.
     """
-    red = _Reduced(problem)
     mesh = problem.mesh
-    if mesh.dim == 2:
-        # every fractional solve below, on this operator, deflates its
-        # lowest eigenmodes; in 3D the sparse LU this takes fills too much
-        _deflate(red.ops.stiffness, red.ops.lumped_mass)
+    # in 2D every fractional solve deflates the operator's lowest
+    # eigenmodes; in 3D the sparse LU this takes fills too much
+    red = _Reduced(problem, deflate=mesh.dim == 2)
+    debug = _log.isEnabledFor(logging.DEBUG)
     lo, up, mu = problem.lower, problem.upper, problem.mu
     n = mesh.n_interior if problem.mode == VARIATIONAL else mesh.n_cells
     z = np.clip(z0.copy() if z0 is not None else np.zeros(n), lo, up)
@@ -224,6 +251,9 @@ def _solve(problem: ControlProblem, tol: float,
         res = _stationarity(z, g, lo, up)
         residual_history.append(res)
         if res <= threshold:
+            if debug:
+                _record("projected gradient", it, res, J, None,
+                        red.n_solves, "converged")
             return ControlSolution(
                 control=red._wrap(z), state=u, adjoint=p, objective=J,
                 iterations=it, residual=res, stats=red.stats,
@@ -232,27 +262,33 @@ def _solve(problem: ControlProblem, tol: float,
                 residual_history=residual_history)
 
         # stagnation of the residual marks the solver-noise floor
+        reason = None
         res_window.append(res)
         if len(res_window) > 6:
             res_window.pop(0)
             if res > 0.8 * max(res_window[:3]):
-                break
+                reason = "stagnation window"
 
         # the adjoint is solved only once a trial step is accepted
         t = step
-        accepted = False
-        for _ in range(20):
-            z_trial = np.clip(z - t * g, lo, up)
-            d = z_trial - z
-            slope = red.pairing(g, d)
-            if slope < 0.0:
+        if reason is None:
+            for _ in range(20):
+                z_trial = np.clip(z - t * g, lo, up)
+                slope = red.pairing(g, z_trial - z)
+                if slope >= 0.0:
+                    reason = "ascent"
+                    break
                 u_trial = red.state(z_trial)
                 J_trial = red.value(z_trial, u_trial)
                 if J_trial <= J + armijo * slope:
-                    accepted = True
                     break
-            t *= 0.25
-        if not accepted:
+                t *= 0.25
+            else:
+                reason = "line search failed"
+        if debug:
+            _record("projected gradient", it, res, J,
+                    None if reason else t, red.n_solves, reason)
+        if reason is not None:
             break
 
         p_trial = red.adjoint(u_trial)
@@ -269,8 +305,14 @@ def _solve(problem: ControlProblem, tol: float,
 
     # Semismooth polish: freeze the active set predicted by the projection
     # formula and solve the free-component stationarity system
-    # mu*z_F + g_state(z)_F = 0 with GMRES (matvec = two fractional solves).
-    u, p, g = red.evaluate(z)
+    # mu*z_F + g_state(z)_F = 0 with GMRES (matvec = two fractional solves),
+    # for the correction from the current point.  Phase one leaves u, p and
+    # g current for z.
+    def hessian(v):
+        """H v, the reduced Hessian's product (two fractional solves); the
+        gradient is affine in z, g(z + v) = g(z) + H v."""
+        return red.gradient_values(v, red.solve(red.state(v)))
+
     res = _stationarity(z, g, lo, up)
     for _ in range(12):
         residual_history.append(res)
@@ -288,24 +330,27 @@ def _solve(problem: ControlProblem, tol: float,
                 nonlocal it
                 v = np.zeros_like(z_new)
                 v[free] = v_free
-                gv = red.gradient_values(v, red.solve(red.state(v)))
+                gv = hessian(v)
                 it += 1
                 return mu * v_free + (gv - mu * v)[free]
 
-            z_fix = z_new.copy()
-            z_fix[free] = 0.0
-            _, _, g_fix = red.evaluate(z_fix)
-            rhs = -g_fix[free]
+            # the gradient at z_new; one Hessian product when the active
+            # set moved it away from z
+            dz = z_new - z
+            rhs = -(g + hessian(dz) if dz.any() else g)[free]
             op = LinearOperator((nf, nf), matvec=matvec, dtype=float)
             rhs_norm = float(np.linalg.norm(rhs))
             target = max(0.05 * threshold, 1e-13 * max(rhs_norm, 1.0))
-            x, info = gmres(op, rhs, x0=z[free].copy(), atol=target,
-                            rtol=0.0, restart=60, maxiter=3)
-            z_new[free] = x
+            x, info = gmres(op, rhs, atol=target, rtol=0.0, restart=60,
+                            maxiter=3)
+            z_new[free] += x
         z = np.clip(z_new, lo, up)
         u, p, g = red.evaluate(z)
         res = _stationarity(z, g, lo, up)
         it += 1
+        if debug:
+            _record("polish", it, res, red.value(z, u), None, red.n_solves,
+                    "converged" if res <= threshold else None)
     else:
         residual_history.append(res)
         if res > threshold:

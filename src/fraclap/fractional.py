@@ -96,13 +96,19 @@ class SolveOptions:
     the mesh: geometric multigrid on the structured unit-square/cube
     meshes, symmetric Gauss-Seidel on any other mesh; the sequential solver
     rebuilds it after a system that needed more than ``shifted._ITER_CAP``
-    iterations.
+    iterations.  ``deflate`` (off by default, the paper's path) takes the
+    operator's ``shifted._DEFLATE`` lowest eigenmodes out of every Lanczos
+    scan, from eigenpairs built once per operator on the first solve that
+    asks; a solve without it never reads them, so its result does not
+    depend on which solves ran before.  The control solver turns it on for
+    its own solves on 2D meshes.
     """
 
     c_k: float = 1.1
     k: float | None = None
     rtol: float = 1e-8
     n_max: int = _SCAN_MAX
+    deflate: bool = False
 
     def __post_init__(self):
         if self.k is not None and self.c_k != SolveOptions.c_k:
@@ -149,7 +155,7 @@ def _solve_quadrature(mesh: Mesh, s: float, rhs, options: SolveOptions | None,
         ops.stiffness, ops.lumped_mass, quad.shifts, Z,
         labels=quad.l, weights=quad.weights if weighted else None,
         rtol=options.rtol, n_max=options.n_max,
-        prec_factory=_prec_factory(mesh))
+        prec_factory=_prec_factory(mesh), deflate=options.deflate)
     return values, stats, quad
 
 

@@ -17,18 +17,24 @@ scaled on A's own sparsity pattern and handed to ``multigrid._banded``,
 which stores it as a DIA matrix when its nonzeros lie on a few diagonals,
 as on the grid meshes: the same bits as CSR, at memory speed.  Each
 operator also keeps one spare Lanczos basis, which a scan pops and returns,
-so repeated solves do not fault in a fresh basis; the recurrence updates
-its vectors in place.  Every family solve keeps at most ``_STORED_MAX``
-basis vectors, so ``n_max`` caps the scan and not memory: past that row the
-scan keeps two rolling vectors and the tridiagonal, and the head's
-combinations are completed in a second pass that regenerates the dropped
-vectors through the scan's own ``_step``, hence with its bits (two-pass
-Lanczos; Frommer & Simoncini, 2008).  An operator can also keep its
-``_DEFLATE`` lowest eigenpairs, built once on request (``_deflate``, which
-the control solver calls); a scan on it then starts from the right-hand
-side with those modes taken out, adds their exact part to every solution,
-and stops on the tolerance less the modes' residual bound, so the basis no
-longer grows to resolve the lowest modes for the smallest shifts.  The
+so repeated solves do not fault in a fresh basis.  One fused step,
+``_step``, runs the three-term recurrence in place: it writes each new
+vector straight into its basis row, adds the matvec there through the
+storage's accumulating scipy kernel (bound once per operator), and makes
+five vector passes beside it, with no temporary and no allocation.  Every
+family solve keeps at most ``_STORED_MAX`` basis vectors, so ``n_max``
+caps the scan and not memory: past that row the scan keeps two rolling
+vectors and the tridiagonal, and the head's combinations are completed in
+a second pass that regenerates the dropped vectors through the same
+``_step``, hence with the scan's bits (two-pass Lanczos; Frommer &
+Simoncini, 2008).  An operator can also keep its ``_DEFLATE`` lowest
+eigenpairs, built on the first solve that asks for them
+(``SolveOptions.deflate``, which the control solver sets in 2D); such a
+scan then starts from the right-hand side with those modes taken out, adds
+their exact part to every solution, and stops on the tolerance less the
+modes' residual bound, so the basis no longer grows to resolve the lowest
+modes for the smallest shifts.  A solve that does not ask ignores the
+space.  The
 remaining (small-shift) systems are solved sequentially by preconditioned
 CG, rebuilding the preconditioner whenever the previous system needed more
 than ``_ITER_CAP`` iterations.  Each system starts from its neighbor's
@@ -52,10 +58,13 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import daxpy, ddot
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
@@ -101,9 +110,11 @@ class ShiftedFamily:
     ``A_scaled`` is the prescaled operator A~ on A's sparsity pattern, as
     ``multigrid._banded`` stores it (DIA or CSR), so that
     ``apply_scaled`` (used by the Lanczos scan and by PCG) is one sparse
-    matvec.  ``spare`` holds what every family on the operator shares: its
-    spare Lanczos basis under ``"Q"`` while no scan holds it, and, once
-    ``_deflate`` has run, its deflation space under ``"deflation"``.
+    matvec; ``_accumulate`` is that storage's accumulating scipy kernel,
+    bound to A~ once per operator.  ``spare`` holds what every family on
+    the operator shares: its spare Lanczos basis under ``"Q"`` while no
+    scan holds it, and, once ``_deflate`` has run, its deflation space
+    under ``"deflation"``.
     """
 
     A: sp.csr_matrix
@@ -116,6 +127,7 @@ class ShiftedFamily:
     rhs: np.ndarray
     rhs_scaled: np.ndarray        # (1/rho) M_h^{-1/2} Z
     inv_sqrt_mass: np.ndarray
+    _accumulate: partial = field(repr=False)   # (x, y): y += A~ x
     spare: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -126,9 +138,21 @@ class ShiftedFamily:
     def n_shifts(self) -> int:
         return self.shifts.shape[0]
 
-    def apply_scaled(self, x: np.ndarray) -> np.ndarray:
-        """A~ x with A~ = (1/rho) M_h^{-1/2} A M_h^{-1/2}."""
-        return self.A_scaled @ x
+    def apply_scaled(self, x: np.ndarray, out: np.ndarray | None = None):
+        """A~ x with A~ = (1/rho) M_h^{-1/2} A M_h^{-1/2}; with ``out`` the
+        product is added to ``out`` in place, with no temporary, and
+        ``out`` is returned.  The kernel checks no bounds, so ``x`` and
+        ``out`` must be vectors of the operator's size and ``out`` a
+        contiguous float64 one."""
+        if out is None:
+            return self.A_scaled @ x
+        if x.shape != (self.n,) or out.shape != (self.n,) \
+                or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out= takes x and a contiguous float64 out of shape "
+                f"({self.n},); got {x.shape} and {out.shape} {out.dtype}")
+        self._accumulate(x, out)
+        return out
 
     def unnormalize(self, v_scaled: np.ndarray) -> np.ndarray:
         """Map V~ back to V = M_h^{-1/2} V~ (acts on the last axis)."""
@@ -136,11 +160,11 @@ class ShiftedFamily:
 
 
 # scaled operator per stiffness matrix object, with the lumped mass object
-# it was scaled with; both are treated as immutable.  The repeated solves on
-# one mesh scale it once, a solve with another mass replaces the entry, and
-# the entry is dropped, with its spare basis and deflation space, when its
-# stiffness matrix is garbage collected.  The lock makes the check and the
-# build one step.
+# it was scaled with and the kernel bound to it; both objects are treated as
+# immutable.  The repeated solves on one mesh scale it once, a solve with
+# another mass replaces the entry, and the entry is dropped, with its spare
+# basis and deflation space, when its stiffness matrix is garbage
+# collected.  The lock makes the check and the build one step.
 _scaled_cache: dict = {}
 _scaled_lock = threading.Lock()
 
@@ -158,10 +182,25 @@ def _scale_operator(A: sp.csr_matrix, lumped_mass: np.ndarray):
     return multigrid._banded(scaled), rho, d
 
 
+def _accumulator(scaled: sp.spmatrix) -> partial:
+    """``f(x, y)``: ``y += scaled @ x`` in place, through the accumulating
+    scipy kernel of ``scaled``'s storage (DIA or CSR) with its arrays bound
+    once.  Each row starts from ``y`` and adds the products in the order
+    ``scaled @ x`` adds them."""
+    n_row, n_col = scaled.shape
+    if scaled.format == "dia":
+        return partial(_sparsetools.dia_matvec, n_row, n_col,
+                       len(scaled.offsets), scaled.data.shape[1],
+                       scaled.offsets, scaled.data)
+    return partial(_sparsetools.csr_matvec, n_row, n_col, scaled.indptr,
+                   scaled.indices, scaled.data)
+
+
 def _entry(A: sp.spmatrix, lumped_mass: np.ndarray) -> tuple:
     """The ``_scaled_cache`` entry of ``A`` scaled with ``lumped_mass``:
-    ``(lumped_mass, A as CSR, mass as float array, A~, rho, d, spare)``,
-    built on the first call and rebuilt when the mass object changes."""
+    ``(lumped_mass, A as CSR, mass as float array, A~, rho, d, A~'s
+    accumulating kernel, spare)``, built on the first call and rebuilt when
+    the mass object changes."""
     key = id(A)
     with _scaled_lock:
         entry = _scaled_cache.get(key)
@@ -173,8 +212,9 @@ def _entry(A: sp.spmatrix, lumped_mass: np.ndarray) -> tuple:
             A_csr = sp.csr_matrix(A)
             if entry is None:
                 weakref.finalize(A, _scaled_cache.pop, key, None)
-            entry = (lumped_mass, A_csr, mass) \
-                + _scale_operator(A_csr, mass) + ({},)
+            scaled, rho, d = _scale_operator(A_csr, mass)
+            entry = (lumped_mass, A_csr, mass, scaled, rho, d,
+                     _accumulator(scaled), {})
             _scaled_cache[key] = entry
     return entry
 
@@ -182,7 +222,8 @@ def _entry(A: sp.spmatrix, lumped_mass: np.ndarray) -> tuple:
 def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
               Z: np.ndarray, labels=None) -> ShiftedFamily:
     """Scale the family to identity shifts with unit operator sup-norm."""
-    _, A, lumped_mass, scaled, rho, d, spare = _entry(A, lumped_mass)
+    _, A, lumped_mass, scaled, rho, d, accumulate, spare = _entry(
+        A, lumped_mass)
     shifts = np.asarray(shifts, dtype=float)
     if np.any(np.isnan(shifts)):
         raise ValueError("shifts must not be NaN")
@@ -198,7 +239,7 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
         A=A, A_scaled=scaled, lumped_mass=lumped_mass, rho=rho,
         shifts=shifts[order], shifts_scaled=shifts[order] / rho,
         labels=labels[order], rhs=Z, rhs_scaled=d * Z / rho,
-        inv_sqrt_mass=d, spare=spare)
+        inv_sqrt_mass=d, _accumulate=accumulate, spare=spare)
 
 
 # lowest eigenpairs of A~ that a deflated scan takes out of its start vector
@@ -207,8 +248,8 @@ _DEFLATE = 30
 
 def _deflate(A: sp.spmatrix, lumped_mass: np.ndarray) -> None:
     """Keep the ``_DEFLATE`` lowest eigenpairs of A~ with the operator, for
-    every later scan on it (see ``_head``), unless it already has them or
-    has been tried.
+    every later scan on it that asks for them (see ``_head``), unless it
+    already has them or has been tried.
 
     The rows of ``U`` are the eigenvectors, from shift-invert ARPACK at zero
     through one sparse LU of A~ that is freed afterwards; ``eps`` holds the
@@ -219,7 +260,7 @@ def _deflate(A: sp.spmatrix, lumped_mass: np.ndarray) -> None:
     matrix or a change of mass.
     """
     entry = _entry(A, lumped_mass)
-    scaled, spare = entry[3], entry[6]
+    scaled, spare = entry[3], entry[-1]
     if "deflation" in spare:
         return
     n = scaled.shape[0]
@@ -249,22 +290,40 @@ def _deflate(A: sp.spmatrix, lumped_mass: np.ndarray) -> None:
 _STORED_MAX = 500
 # default cap of the Lanczos scan
 _SCAN_MAX = 1500
+# a Lanczos residual norm below this ends the scan on an invariant subspace
+_BREAKDOWN = 1e-300
 
 
-def _step(family: ShiftedFamily, q, q_prev, b_prev, tmp, a_j=None):
-    """``(w, a_j)``: ``w = A~ q - b_prev q_prev - a_j q`` (no ``b_prev``
-    term without ``q_prev``), the products subtracted in place through
-    ``tmp`` (no fused multiply-add), with ``a_j = q . (A~ q - b_prev
-    q_prev)`` unless the second pass gives it."""
-    w = family.apply_scaled(q)
-    if q_prev is not None:
-        np.multiply(b_prev, q_prev, out=tmp)
-        w -= tmp
+def _step(family: ShiftedFamily, q, q_prev, b_prev, w, a_j=None, b_j=None):
+    """One Lanczos step: write ``q_{j+1}`` into the row ``w`` and return
+    ``(a_j, b_j)``.
+
+    The three-term recurrence runs in place, with no temporary: ``w =
+    -b_prev q_prev`` (zero without ``q_prev``; ``w`` may be ``q_prev``'s
+    own row), ``w += A~ q`` through the accumulating kernel, ``a_j = q .
+    w``, ``w -= a_j q`` through one BLAS ``daxpy``, ``b_j = |w|`` and ``w
+    *= 1 / b_j`` (a division pass costs about three times as much): five
+    vector passes beside the matvec.  The inner products are ``ddot`` from
+    the BLAS that provides ``daxpy``; with threaded BLAS, alternating
+    between numpy's and scipy's libraries makes each wait on the other's
+    spinning threads.  The second pass hands in the scan's ``a_j`` and
+    ``b_j`` and so skips their inner products; sharing this one step is
+    what makes its vectors the scan's bits.  A ``b_j`` below
+    ``_BREAKDOWN`` leaves ``w`` unnormalized (the scan stops there).
+    """
+    if q_prev is None:
+        w.fill(0.0)
+    else:
+        np.multiply(q_prev, -b_prev, out=w)
+    family.apply_scaled(q, out=w)
     if a_j is None:
-        a_j = q @ w
-    np.multiply(a_j, q, out=tmp)
-    w -= tmp
-    return w, a_j
+        a_j = ddot(q, w)
+    daxpy(q, w, a=-a_j)
+    if b_j is None:
+        b_j = math.sqrt(ddot(w, w))
+    if b_j >= _BREAKDOWN:
+        w *= 1.0 / b_j
+    return a_j, b_j
 
 
 def _lanczos(family: ShiftedFamily, z: np.ndarray, n_max: int,
@@ -274,11 +333,13 @@ def _lanczos(family: ShiftedFamily, z: np.ndarray, n_max: int,
     Returns ``(Q, a, b, done)``: the stored basis, whose first ``len(a)``
     rows (all, when it has fewer) are the first basis vectors, the diagonal
     ``a`` and the off-diagonal ``b`` of the tridiagonal, with ``b[-1]`` the
-    norm of the last residual.  Past ``min(n_max, _STORED_MAX)`` vectors the
-    scan keeps only the last two, and ``_combine`` rebuilds the rest from
-    ``a`` and ``b``.  ``Q`` is the operator's spare basis, popped from
-    ``family.spare`` for the scan (the caller puts it back), or a new one
-    when a concurrent scan holds it or it has too few rows.
+    norm of the last residual.  Each ``_step`` writes its vector straight
+    into its row of ``Q``; past ``min(n_max, _STORED_MAX)`` rows it writes
+    into one of two rolling rows, over the vector before last, and
+    ``_combine`` rebuilds the dropped vectors from ``a`` and ``b``.  ``Q``
+    is the operator's spare basis, popped from ``family.spare`` for the
+    scan (the caller puts it back), or a new one when a concurrent scan
+    holds it or it has too few rows.
 
     One scalar LDL^T recurrence, for the smallest shift, decides when to
     stop: a shift's residual decreases with the shift, so once the smallest
@@ -294,15 +355,15 @@ def _lanczos(family: ShiftedFamily, z: np.ndarray, n_max: int,
     if Q is None or Q.shape[0] < n_stored:
         Q = None                        # free a spare too small first
         Q = np.empty((n_stored, family.n))
+    rolling = np.empty((2, family.n))
     a = np.empty(n_max)
     b = np.empty(n_max)
-    tmp = np.empty(family.n)
     np.divide(z, beta0, out=Q[0])
     q_prev, q = None, Q[0]
     c = beta0
     for j in range(n_max):
-        w, a[j] = _step(family, q, q_prev, b[j - 1], tmp)
-        b[j] = math.sqrt(w @ w)         # np.linalg.norm(w), bit for bit
+        w = Q[j + 1] if j + 1 < n_stored else rolling[(j + 1 - n_stored) % 2]
+        a[j], b[j] = _step(family, q, q_prev, b[j - 1], w)
         if j == 0:
             d = a[0] + sigma
         else:
@@ -312,14 +373,9 @@ def _lanczos(family: ShiftedFamily, z: np.ndarray, n_max: int,
         if d <= 0.0:
             raise RuntimeError(
                 "shifted CG breakdown: operator is not positive definite")
-        if abs(c) / d * b[j] <= tol_abs or b[j] < 1e-300:
+        if abs(c) / d * b[j] <= tol_abs or b[j] < _BREAKDOWN:
             return Q, a[:j + 1], b[:j + 1], True
-        if j + 1 < n_stored:
-            np.divide(w, b[j], out=Q[j + 1])
-            q_prev, q = q, Q[j + 1]
-        else:                           # past the stored rows: w is q_{j+1}
-            w /= b[j]
-            q_prev, q = q, w
+        q_prev, q = q, w
     return Q, a, b, False
 
 
@@ -330,23 +386,26 @@ def _combine(family: ShiftedFamily, Q: np.ndarray, a: np.ndarray,
 
     The stored rows of ``Q`` enter as one product; the vectors past them
     are rebuilt from the last two stored ones by the scan's own ``_step``
-    and division, so they are the scan's bits, at one matvec each.
+    into the same two rolling rows, so they are the scan's bits, at one
+    matvec each, and each enters every row of the result through one
+    ``daxpy``.
     """
     K = Q.shape[0]
     out = C[:, :K] @ Q
-    tmp = np.empty(family.n)
-    q_prev, q = (Q[K - 2] if K > 1 else None), Q[K - 1]
-    for j in range(K - 1, a.size - 1):
-        w, _ = _step(family, q, q_prev, b[j - 1], tmp, a[j])
-        w /= b[j]
-        q_prev, q = q, w
-        for x, c in zip(out, C[:, j + 1]):
-            np.multiply(c, q, out=tmp)
-            x += tmp
+    if a.size > K:
+        rolling = np.empty((2, family.n))
+        q_prev, q = (Q[K - 2] if K > 1 else None), Q[K - 1]
+        for j in range(K - 1, a.size - 1):
+            w = rolling[(j + 1 - K) % 2]
+            _step(family, q, q_prev, b[j - 1], w, a[j], b[j])
+            for x, c in zip(out, C[:, j + 1]):
+                daxpy(w, x, a=c)
+            q_prev, q = q, w
     return out
 
 
-def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
+def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None,
+          deflate: bool = False):
     """Galerkin solutions of the leading shifts in one Lanczos basis.
 
     With ``T = V diag(theta) V^T`` the basis' tridiagonal, shift ``sigma``
@@ -360,24 +419,24 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None):
     scan kept, sweeping a basis that outgrew them a second time, at one more
     matvec per vector beyond them.
 
-    When the operator keeps a deflation space ``(U, lam, eps)`` (see
-    ``_deflate``), the scan starts from ``b_perp = b - U^T c``, ``c = U b``,
-    and every solution gains the modal part ``U^T (c / (lam + sigma))``.  A
-    shift's true residual is then the scan's minus ``E (c / (lam +
-    sigma))``, ``E = A~ U^T - U^T diag(lam)`` with column norms ``eps``, so
-    the scan stops on ``tol_abs - sum_i eps_i |c_i| / (lam_i + sigma_min)``.
-    The space is used when that bound takes at most half the tolerance.
-    Exact eigenvectors of A~ are eigenvectors of every ``A~ + sigma I``, so
-    the scan no longer resolves the lowest modes for the smallest shifts
-    (Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000).  A
-    start vector that already meets the tolerance, such as a zero rhs,
-    needs no scan.
+    With ``deflate``, when the operator keeps a deflation space ``(U, lam,
+    eps)`` (see ``_deflate``), the scan starts from ``b_perp = b - U^T c``,
+    ``c = U b``, and every solution gains the modal part ``U^T (c / (lam +
+    sigma))``.  A shift's true residual is then the scan's minus ``E (c /
+    (lam + sigma))``, ``E = A~ U^T - U^T diag(lam)`` with column norms
+    ``eps``, so the scan stops on ``tol_abs - sum_i eps_i |c_i| / (lam_i +
+    sigma_min)``.  The space is used when that bound takes at most half
+    the tolerance.  Exact eigenvectors of A~ are eigenvectors of every ``A~
+    + sigma I``, so the scan no longer resolves the lowest modes for the
+    smallest shifts (Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput.
+    21, 2000).  A start vector that already meets the tolerance, such as a
+    zero rhs, needs no scan.
     """
     S = family.n_shifts
     sig = family.shifts_scaled
     z = family.rhs_scaled
     modal = None                        # per shift: its coefficients in U
-    space = family.spare.get("deflation")
+    space = family.spare.get("deflation") if deflate else None
     if space is not None and space[1][0] + sig[-1] > 0.0:
         U, lam, eps = space
         c = U @ z
@@ -633,7 +692,8 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
 
 
 def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
-                 n_max=_SCAN_MAX, prec_factory=None, weights=None):
+                 n_max=_SCAN_MAX, prec_factory=None, weights=None,
+                 deflate=False):
     """Solve (A + alpha_l M_h) V^l = Z for every shift.
 
     The leading (large) shifts are solved in one Lanczos basis of at most
@@ -644,7 +704,11 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     (input shift order, one row per shift), or with ``weights`` the
     combination ``sum_l w_l V^l``, which avoids materializing every
     solution.  ``rtol = 0`` is accepted only when the
-    Lanczos basis solves every shift exactly (an invariant subspace).
+    Lanczos basis solves every shift exactly (an invariant subspace).  With
+    ``deflate`` the operator's lowest eigenpairs are taken out of the scan
+    (``_deflate`` builds them on the first such solve on the operator);
+    without it the scan ignores a space another solve built, so the result
+    depends on the inputs alone.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -655,6 +719,8 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
         if value is not None and np.shape(value) != shifts.shape:
             raise ValueError(f"{name} must have one entry per shift: shape "
                              f"{np.shape(value)}, shifts {shifts.shape}")
+    if deflate:
+        _deflate(A, lumped_mass)
     family = normalize(A, lumped_mass, shifts, Z, labels=labels)
     # the solvers stop on the normalized residual; dividing by the mass
     # scaling spread makes the bound hold for the un-normalized residual too
@@ -666,7 +732,7 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
 
     tol_abs = rtol * float(np.linalg.norm(family.rhs_scaled))
     n_solved, n_basis, n_products, head, x_start = _head(
-        family, n_max, tol_abs, weights)
+        family, n_max, tol_abs, weights, deflate)
     if rtol == 0.0 and n_solved < family.n_shifts:
         raise ValueError(
             f"rtol = 0 leaves {family.n_shifts - n_solved} systems to PCG, "

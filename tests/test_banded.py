@@ -257,6 +257,65 @@ class TestSpareBasis:
                     np.testing.assert_array_equal(got, expected)
 
 
+def accumulated(A, x, y):
+    """``y + A @ x`` with each row's products added to ``y[i]`` one at a
+    time, in the order of scipy's matvec for ``A``'s storage: diagonal by
+    diagonal for DIA, stored entry by stored entry for CSR."""
+    n = A.shape[0]
+    out = y.copy()
+    if A.format == "dia":
+        for k, diag in zip(A.offsets, A.data):
+            cols = np.arange(max(k, 0), min(n + k, n))
+            out[cols - k] += diag[cols] * x[cols]
+        return out
+    lengths = np.diff(A.indptr)
+    for p in range(lengths.max()):
+        rows = np.flatnonzero(lengths > p)
+        at = A.indptr[rows] + p
+        out[rows] += A.data[at] * x[A.indices[at]]
+    return out
+
+
+class TestAccumulatingProduct:
+    @pytest.mark.parametrize("build, storage", [
+        (lambda tmp: unit_square_mesh(32), "dia"),
+        (lambda tmp: unit_cube_mesh(16), "dia"),
+        (lambda tmp: perturbed_square(tmp, 32, renumber=True), "csr"),
+    ], ids=["square32", "cube16", "renumbered32"])
+    def test_adds_the_product_in_place(self, tmp_path, build, storage):
+        mesh = build(tmp_path)
+        ops = operators(mesh)
+        family = normalize(ops.stiffness, ops.lumped_mass, np.array([1.0]),
+                           np.ones(mesh.n_interior))
+        A = family.A_scaled
+        assert A.format == storage
+        x, y = np.random.default_rng(7).standard_normal((2, family.n))
+        out = y.copy()
+        assert family.apply_scaled(x, out=out) is out
+        np.testing.assert_array_equal(out, accumulated(A, x, y))
+        # the same sum as y + A~ x but for the order of its terms
+        np.testing.assert_allclose(out, y + A @ x, rtol=0.0,
+                                   atol=1e-15 * np.abs(y + A @ x).max())
+        # from zero, the plain product, bit for bit
+        zero = np.zeros(family.n)
+        np.testing.assert_array_equal(family.apply_scaled(x, out=zero),
+                                      family.apply_scaled(x))
+
+    def test_rejects_what_the_kernel_cannot_take(self):
+        mesh = unit_square_mesh(8)
+        ops = operators(mesh)
+        family = normalize(ops.stiffness, ops.lumped_mass, np.array([1.0]),
+                           np.ones(mesh.n_interior))
+        n = family.n
+        x = np.ones(n)
+        for bad_x, bad_out in ((x, np.zeros(n - 1)), (x[:-1], np.zeros(n)),
+                               (x, np.zeros(2 * n)[::2]),
+                               (x, np.zeros(n, dtype=np.float32)),
+                               (x, np.zeros((1, n)))):
+            with pytest.raises(ValueError, match="out="):
+                family.apply_scaled(bad_x, out=bad_out)
+
+
 class TestRegeneratedBasis:
     # square 64 and cube 16 have a DIA A~, the renumbered perturbed mesh a
     # CSR one
@@ -293,9 +352,9 @@ class TestRegeneratedBasis:
                     scans.append((a.copy(), b.copy(), done))
                     return Q, a, b, done
 
-                def counting(self, x, products=products):
+                def counting(self, x, out=None, products=products):
                     products.append(1)
-                    return apply(self, x)
+                    return apply(self, x, out)
 
                 def counting_step(*args, steps=steps, **kwargs):
                     steps.append(1)

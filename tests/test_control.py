@@ -195,6 +195,47 @@ class TestVariationalSolve:
         assert len(hist) >= 2
         assert all(b <= a + 1e-14 for a, b in zip(hist, hist[1:]))
 
+    def test_phase_one_ends_at_its_first_ascent_direction(self, caplog):
+        # clipping the gradient node by node, paired with the consistent
+        # mass matrix, turns into an ascent direction near this optimum
+        # (at iteration 17): phase one hands over to the polish there
+        # instead of accepting rounding-level steps that leave J unchanged
+        caplog.set_level(logging.DEBUG, logger="fraclap")
+        mesh = unit_square_mesh(64)
+        sol = solve_variational(make_problem(mesh, VARIATIONAL, s=0.05),
+                                tol=1e-5)
+        hist = np.array(sol.objective_history)
+        assert np.all(np.diff(hist) < 0.0)
+        phase_one = [r.control for r in caplog.records
+                     if r.name == "fraclap.control"
+                     and r.control["phase"] == "projected gradient"]
+        assert len(phase_one) == hist.size
+        assert phase_one[-1]["exit"] == "ascent"
+
+    def test_solve_count_does_not_follow_rounding(self, monkeypatch):
+        # every inner solution perturbed by 1e-13 relative: the decisions of
+        # phase one must not hang on differences that small
+        solve = fraclap.control.fractional_solve
+        state = {"rng": None, "calls": 0}
+
+        def perturbed(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            state["calls"] += 1
+            if state["rng"] is not None:
+                res.u.values[:] *= 1.0 + 1e-13 * state["rng"].standard_normal(
+                    res.u.values.size)
+            return res
+
+        monkeypatch.setattr(fraclap.control, "fractional_solve", perturbed)
+        prob = make_problem(unit_square_mesh(64), VARIATIONAL, s=0.05)
+        counts = []
+        for seed in (None, 1, 2):
+            state["rng"] = seed and np.random.default_rng(seed)
+            state["calls"] = 0
+            sol = solve_variational(prob, tol=1e-5)
+            counts.append((state["calls"], sol.iterations))
+        assert counts[1:] == counts[:1] * 2
+
     def test_mode_guard(self):
         mesh = unit_square_mesh(4)
         with pytest.raises(ValueError):
@@ -350,6 +391,58 @@ def test_polish_makes_no_zero_load_solve(monkeypatch):
     assert all(np.any(load) for load in loads[1:])
 
 
+class TestIterationRecords:
+    """One DEBUG record per control iteration on ``fraclap.control``."""
+
+    def test_one_record_per_iteration(self, monkeypatch, caplog):
+        calls = [0]
+        solve = fraclap.control.fractional_solve
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fraclap.control, "fractional_solve", counting)
+        caplog.set_level(logging.DEBUG, logger="fraclap")
+        mesh = unit_square_mesh(16)
+        prob = make_problem(mesh, VARIATIONAL, mu=0.01, lower=-0.3,
+                            upper=0.3)
+        sol = solve_variational(prob, tol=1e-9)
+        records = [r.control for r in caplog.records
+                   if r.name == "fraclap.control"]
+        n_one = len(sol.objective_history)
+        assert [r["phase"] for r in records] == \
+            ["projected gradient"] * n_one \
+            + ["polish"] * (len(records) - n_one)
+        one, polish = records[:n_one], records[n_one:]
+        assert [r["iteration"] for r in one] == list(range(n_one))
+        assert [r["objective"] for r in one] == sol.objective_history
+        assert [r["residual"] for r in one] == sol.residual_history[:n_one]
+        assert all(r["exit"] is None and r["step"] > 0.0 for r in one[:-1])
+        assert one[-1]["step"] is None
+        assert one[-1]["exit"] in ("ascent", "stagnation window",
+                                   "line search failed")
+        assert polish and all(r["exit"] is None for r in polish[:-1])
+        assert polish[-1]["exit"] == "converged"
+        assert polish[-1]["iteration"] == sol.iterations
+        assert polish[-1]["residual"] == sol.residual
+        assert polish[-1]["objective"] == sol.objective
+        solves = [r["solves"] for r in records]
+        assert solves == sorted(solves) and solves[-1] == calls[0]
+        assert caplog.records[-1].getMessage().startswith(
+            f"control polish iteration {sol.iterations}: residual ")
+
+    def test_no_record_with_logging_off(self, monkeypatch, caplog):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a control record was built")
+
+        caplog.set_level(logging.INFO, logger="fraclap")
+        monkeypatch.setattr(fraclap.control, "_record", refuse)
+        mesh = unit_square_mesh(16)
+        sol = solve_variational(make_problem(mesh, VARIATIONAL), tol=1e-7)
+        assert sol.residual <= 1e-7 * mesh.h
+
+
 @pytest.fixture
 def eigsh_calls(monkeypatch):
     """The operator sizes of every eigensolve the library runs."""
@@ -388,6 +481,36 @@ class TestDeflation:
                                       second.control.values)
         assert first.stats.n_matvec == second.stats.n_matvec
         assert first.iterations == second.iterations
+
+    def test_state_solve_ignores_a_space_built_by_a_control_solve(
+            self, eigsh_calls):
+        mesh = unit_square_mesh(32)
+        prob = make_problem(mesh, VARIATIONAL)
+        before = fractional_solve(mesh, 0.5, prob.desired)
+        solve_variational(prob)
+        assert deflation_space(mesh) is not None
+        after = fractional_solve(mesh, 0.5, prob.desired)
+        np.testing.assert_array_equal(after.u.values, before.u.values)
+        assert after.stats.n_matvec == before.stats.n_matvec
+        # asked for, the space shortens the scan
+        deflated = fractional_solve(mesh, 0.5, prob.desired,
+                                    SolveOptions(deflate=True))
+        assert deflated.stats.n_matvec < before.stats.n_matvec
+        assert eigsh_calls == [mesh.n_interior]
+
+    def test_deflate_option_builds_the_space_once(self, eigsh_calls):
+        mesh = unit_square_mesh(32)
+        z = np.ones(mesh.n_interior)
+        options = SolveOptions(deflate=True)
+        first = fractional_solve(mesh, 0.5, z, options)
+        second = fractional_solve(mesh, 0.5, z, options)
+        assert eigsh_calls == [mesh.n_interior]
+        assert deflation_space(mesh)[0].shape == \
+            (fraclap.shifted._DEFLATE, mesh.n_interior)
+        np.testing.assert_array_equal(first.u.values, second.u.values)
+        plain = fractional_solve(mesh, 0.5, z)
+        assert np.linalg.norm(plain.u.values - first.u.values) <= \
+            1e-8 * np.linalg.norm(plain.u.values)
 
     def test_no_eigensolve_outside_a_2d_control_solve(self, eigsh_calls):
         mesh = unit_square_mesh(32)

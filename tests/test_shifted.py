@@ -161,9 +161,9 @@ class TestMultishift:
         apply = shifted.ShiftedFamily.apply_scaled
         tail = shifted.solve_preconditioned
 
-        def counted_apply(family, v):
+        def counted_apply(family, v, out=None):
             matvecs[0] += 1
-            return apply(family, v)
+            return apply(family, v, out)
 
         def counted_tail(*args, **kwargs):
             before = matvecs[0]
@@ -718,7 +718,7 @@ class TestDeflatedHead:
 
     def _head(self, fam, n_max=shifted._SCAN_MAX, weights=None):
         tol_abs = self.RTOL * np.linalg.norm(fam.rhs_scaled)
-        return _head(fam, n_max, tol_abs, weights)
+        return _head(fam, n_max, tol_abs, weights, deflate=True)
 
     def _assert_rows_meet_rtol(self, fam, rows):
         b = fam.rhs_scaled
@@ -773,7 +773,7 @@ class TestDeflatedHead:
         Z = deflation_rhs(mesh)
         sols, stats = solve_family(ops.stiffness, ops.lumped_mass,
                                    quad.shifts, Z, labels=quad.l,
-                                   rtol=self.RTOL, n_max=20)
+                                   rtol=self.RTOL, n_max=20, deflate=True)
         assert 0 < stats.n_alg1 and stats.n_alg2 > 0
         norm_z = np.linalg.norm(Z)
         for v, alpha in zip(sols, quad.shifts):
@@ -782,7 +782,7 @@ class TestDeflatedHead:
         if weighted:
             u, _ = solve_family(ops.stiffness, ops.lumped_mass, quad.shifts,
                                 Z, labels=quad.l, rtol=self.RTOL, n_max=20,
-                                weights=quad.weights)
+                                weights=quad.weights, deflate=True)
             want = quad.weights @ sols
             assert np.linalg.norm(u - want) <= 1e-7 * np.linalg.norm(want)
 
@@ -829,7 +829,7 @@ class TestDeflatedHead:
         ops = operators(mesh)
         sols, stats = solve_family(ops.stiffness, ops.lumped_mass,
                                    np.array([0.5, 5.0]),
-                                   np.zeros(mesh.n_interior))
+                                   np.zeros(mesh.n_interior), deflate=True)
         np.testing.assert_array_equal(sols, 0.0)
         assert stats.n_matvec == 0
 
@@ -845,7 +845,8 @@ class TestDeflatedHead:
         # Z with scaled rhs d Z / rho = coef @ U[modes]
         Z = fam.rho * (coef @ U[modes]) / fam.inv_sqrt_mass
         sols, stats = solve_family(ops.stiffness, ops.lumped_mass,
-                                   fam.shifts, Z, rtol=self.RTOL)
+                                   fam.shifts, Z, rtol=self.RTOL,
+                                   deflate=True)
         assert stats.n_matvec == 0 and stats.n_alg2 == 0
         want = (coef / (lam[modes] + fam.shifts_scaled[:, None])) @ U[modes]
         assert np.linalg.norm(sols / fam.inv_sqrt_mass - want) <= \
@@ -862,4 +863,4 @@ class TestDeflatedHead:
         shifts = np.array([1.0, -2.0 * lam_1 * fam.rho])
         with pytest.raises(RuntimeError, match="breakdown"):
             solve_family(ops.stiffness, ops.lumped_mass, shifts,
-                         deflation_rhs(mesh))
+                         deflation_rhs(mesh), deflate=True)
