@@ -24,8 +24,6 @@ from .harness import (ExperimentConfig, RateTable, compute_rates, hat_rhs,
 from .mesh import (Mesh, cell_parents, eval_p1, prolongation_matrix,
                    read_mesh, refine_uniform, unit_cube_mesh,
                    unit_square_mesh, write_mesh)
-from .multigrid import GeometricMultigrid, MeshHierarchy, SymmetricGaussSeidel
-from .shifted import (ShiftedFamily, SolveStats, normalize, solve_family,
-                      solve_preconditioned)
+from .shifted import SolveStats, solve_family
 
 __version__ = "0.1.0"

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import control as ctl
 from . import fem, harness
-from .fractional import SolveOptions, fractional_solve
-from .mesh import unit_cube_mesh, unit_square_mesh, write_mesh
+from .fractional import fractional_solve
+from .mesh import write_mesh
 
 
 def _parse_levels(text: str):
@@ -81,9 +81,8 @@ _DEFAULTS = {
                    "ref_level": 9},
     "control-conv": {"s": (0.05, 0.25, 0.5), "levels": (3, 4, 5, 6),
                      "ref_level": 8},
-    "solver-stats": {"s": (0.05, 0.5, 0.95), "levels": (2, 3, 4, 5, 6, 7),
-                     "ref_level": 99},
-    "solve": {"s": (0.5,), "levels": (), "ref_level": 99},
+    "solver-stats": {"s": (0.05, 0.5, 0.95), "levels": (2, 3, 4, 5, 6, 7)},
+    "solve": {"s": (0.5,)},
 }
 
 
@@ -131,11 +130,14 @@ def _resolve(args: argparse.Namespace, command: str, names) -> dict:
 
 
 def _experiment_config(vals: dict) -> harness.ExperimentConfig:
+    # a command that takes no levels or ref_level keeps their defaults
+    study = {name: vals[name] for name in ("levels", "ref_level")
+             if vals[name] is not None}
     return harness.ExperimentConfig(
-        dim=vals["dim"], s_values=vals["s"],
-        levels=vals["levels"], ref_level=vals["ref_level"], mu=vals["mu"],
-        lower=vals["a"], upper=vals["b"], c_k=vals["ck"], rtol=vals["rtol"],
-        opt_tol=vals["tol"], out_dir=vals["out"], threads=vals["threads"])
+        dim=vals["dim"], s_values=vals["s"], mu=vals["mu"], lower=vals["a"],
+        upper=vals["b"], c_k=vals["ck"], rtol=vals["rtol"],
+        opt_tol=vals["tol"], out_dir=vals["out"], threads=vals["threads"],
+        **study)
 
 
 def _cmd_state_conv(vals: dict) -> int:
@@ -169,12 +171,12 @@ def _cmd_solve(vals: dict) -> int:
         for name in ("mu", "a", "b", "tol"):
             if name in vals["given"]:
                 raise ValueError(f"--{name} needs --mode")
-    _experiment_config(vals)            # rejects a dim other than 2 or 3
+    config = _experiment_config(vals)   # rejects a dim other than 2 or 3
     m = 2 ** vals["level"]
-    mesh = unit_square_mesh(m) if vals["dim"] == 2 else unit_cube_mesh(m)
-    s = vals["s"][0]
-    options = SolveOptions(c_k=vals["ck"], rtol=vals["rtol"])
-    summary = {"dim": vals["dim"], "cells_per_side": m, "s": s,
+    mesh = harness._mesh(config.dim, m)
+    s = config.s_values[0]
+    options = config.solve_options()
+    summary = {"dim": config.dim, "cells_per_side": m, "s": s,
                "n_vertices": mesh.n_vertices, "h": mesh.h}
 
     if vals["mode"] is None:
@@ -188,13 +190,14 @@ def _cmd_solve(vals: dict) -> int:
         })
     else:
         problem = ctl.ControlProblem(
-            mesh=mesh, s=s, mu=vals["mu"], lower=vals["a"], upper=vals["b"],
+            mesh=mesh, s=s, mu=config.mu, lower=config.lower,
+            upper=config.upper,
             desired=fem.interpolate(mesh, harness.eigen_desired),
             mode=vals["mode"], options=options)
         if vals["mode"] == ctl.VARIATIONAL:
-            sol = ctl.solve_variational(problem, tol=vals["tol"])
+            sol = ctl.solve_variational(problem, tol=config.opt_tol)
         else:
-            sol = ctl.solve_fully_discrete(problem, tol=vals["tol"])
+            sol = ctl.solve_fully_discrete(problem, tol=config.opt_tol)
         vectors = {"control_z.txt": sol.control.values,
                    "state_u.txt": sol.state.values,
                    "adjoint_p.txt": sol.adjoint.values}
@@ -204,8 +207,8 @@ def _cmd_solve(vals: dict) -> int:
         summary.update({
             "kind": "control", "mode": vals["mode"],
             "objective": sol.objective, "iterations": sol.iterations,
-            "residual": sol.residual, "mu": vals["mu"],
-            "bounds": [vals["a"], vals["b"]],
+            "residual": sol.residual, "mu": config.mu,
+            "bounds": [config.lower, config.upper],
             "n_matvec": sol.stats.n_matvec,
             "n_amg_setups": sol.stats.n_prec_setups,
         })
@@ -253,8 +256,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         vals = _resolve(args, args.command, flags[args.command])
-        if args.command == "solver-stats":
-            vals["ref_level"] = max(vals["levels"]) + 1
         return runners[args.command](vals)
     except Exception as exc:                      # noqa: BLE001
         print(f"fraclap: error: {exc}", file=sys.stderr)

@@ -40,6 +40,10 @@ __all__ = [
 
 @dataclass
 class ExperimentConfig:
+    """Settings of the studies; level ``j`` means ``2**j`` cells per side.
+    Only ``run_state_convergence`` and ``run_control_convergence`` read
+    ``ref_level``, and they reject one that does not exceed every level."""
+
     dim: int = 2
     s_values: tuple = (0.05, 0.10, 0.25)
     levels: tuple = (3, 4, 5, 6, 7)
@@ -59,8 +63,6 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(
                 f"threads must be at least 1, got {self.threads!r}")
-        if self.levels and self.ref_level <= max(self.levels):
-            raise ValueError("the reference level must exceed every study level")
 
     def solve_options(self) -> SolveOptions:
         return SolveOptions(c_k=self.c_k, rtol=self.rtol)
@@ -227,17 +229,30 @@ def _run_jobs(threads: int, fn, jobs) -> dict:
     return dict(map(fn, jobs))
 
 
+def _reference_study(config: ExperimentConfig):
+    """``(ms, m_ref, meshes, lift, ref_mesh, ref_ops)`` of a study measured
+    against a reference solve: the study and reference sizes, the meshes of
+    every level from the coarsest up to the reference, a ``_Prolongator``
+    over them, and the reference mesh with its operators."""
+    if not config.levels:
+        raise ValueError("a study needs at least one level")
+    if config.ref_level <= max(config.levels):
+        raise ValueError("the reference level must exceed every study level")
+    ms = [2 ** lv for lv in config.levels]
+    m_ref = 2 ** config.ref_level
+    meshes = {2 ** lv: _mesh(config.dim, 2 ** lv)
+              for lv in range(min(config.levels), config.ref_level + 1)}
+    ref_mesh = meshes[m_ref]
+    return (ms, m_ref, meshes, _Prolongator(meshes), ref_mesh,
+            fem.operators(ref_mesh))
+
+
 def run_state_convergence(config: ExperimentConfig) -> dict:
     """L2 errors of the fractional solves against a fine reference.
 
     Returns one RateTable per fractional power.
     """
-    ms = [2 ** lv for lv in config.levels]
-    m_ref = 2 ** config.ref_level
-    meshes = {m: _mesh(config.dim, m) for m in _chain_sizes(ms, m_ref)}
-    lift = _Prolongator(meshes)
-    ref_mesh = meshes[m_ref]
-    ref_ops = fem.operators(ref_mesh)
+    ms, m_ref, meshes, lift, ref_mesh, ref_ops = _reference_study(config)
 
     def solve_level(args):
         s, m = args
@@ -266,15 +281,6 @@ def run_state_convergence(config: ExperimentConfig) -> dict:
         _write(config.out_dir, f"state_conv_s{s}.csv", table.to_csv())
         _write(config.out_dir, f"state_conv_s{s}.dat", table.to_gnuplot())
     return tables
-
-
-def _chain_sizes(ms, m_ref):
-    sizes = set()
-    for m in ms:
-        while m <= m_ref:
-            sizes.add(m)
-            m *= 2
-    return sorted(sizes)
 
 
 def run_solver_stats(config: ExperimentConfig) -> str:
@@ -324,7 +330,7 @@ def _control_reference(config: ExperimentConfig, s: float, meshes, lift):
     m = start
     sol = None
     while m <= m_ref:
-        mesh = meshes[m] if m in meshes else _mesh(config.dim, m)
+        mesh = meshes[m]
         problem = ControlProblem(
             mesh=mesh, s=s, mu=config.mu, lower=config.lower,
             upper=config.upper,
@@ -359,12 +365,7 @@ def run_control_convergence(config: ExperimentConfig) -> dict:
     if config.threads != 1:
         raise ValueError("the control study runs its solves in sequence; "
                          f"threads must be 1, got {config.threads}")
-    ms = [2 ** lv for lv in config.levels]
-    m_ref = 2 ** config.ref_level
-    meshes = {m: _mesh(config.dim, m) for m in _chain_sizes(ms, m_ref)}
-    lift = _Prolongator(meshes)
-    ref_mesh = meshes[m_ref]
-    ref_ops = fem.operators(ref_mesh)
+    ms, m_ref, meshes, lift, ref_mesh, ref_ops = _reference_study(config)
     lam, w = fem.simplex_quadrature(config.dim, degree=4)
 
     def clamped_at_quadrature(p_ref_values):

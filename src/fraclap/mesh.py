@@ -44,6 +44,7 @@ class Mesh:
     ``cells_per_side`` is the structured grid resolution ``m``; it is None
     for meshes read back from a text dump whose structure could not be
     recognized (such meshes support assembly and norms but not refinement).
+    A structured mesh's refinement level is ``log2(cells_per_side)``.
     """
 
     dim: int
@@ -55,7 +56,6 @@ class Mesh:
     dof_index: np.ndarray       # (n_vertices,) dof number or -1 on boundary
     volumes: np.ndarray         # (n_cells,)
     h: float                    # length of the longest edge
-    level: int = 0
 
     def __post_init__(self):
         for arr in (self.vertices, self.cells, self.boundary, self.interior,
@@ -87,8 +87,8 @@ def _grid_vertices(m: int, dim: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=1)
 
 
-def _finish_mesh(dim: int, m: int, vertices: np.ndarray, cells: np.ndarray,
-                 level: int) -> Mesh:
+def _finish_mesh(dim: int, m: int, vertices: np.ndarray,
+                 cells: np.ndarray) -> Mesh:
     boundary = np.zeros(vertices.shape[0], dtype=bool)
     for d in range(dim):
         boundary |= np.isclose(vertices[:, d], 0.0)
@@ -103,7 +103,7 @@ def _finish_mesh(dim: int, m: int, vertices: np.ndarray, cells: np.ndarray,
     h = float(np.sqrt(dim) / m)
     return Mesh(dim=dim, cells_per_side=m, vertices=vertices, cells=cells,
                 boundary=boundary, interior=interior, dof_index=dof_index,
-                volumes=volumes, h=h, level=level)
+                volumes=volumes, h=h)
 
 
 # Cells per chunk of the closed-form geometry loops (volumes here, operator
@@ -164,7 +164,7 @@ def _signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return volumes
 
 
-def unit_square_mesh(cells_per_side: int, level: int = 0) -> Mesh:
+def unit_square_mesh(cells_per_side: int) -> Mesh:
     """Right-triangle mesh of (0,1)^2, one fixed diagonal per grid square."""
     m = int(cells_per_side)
     if m < 1:
@@ -185,10 +185,10 @@ def unit_square_mesh(cells_per_side: int, level: int = 0) -> Mesh:
     cells = np.empty((2 * m * m, 3), dtype=np.int64)
     cells[0::2] = np.stack([v00, v10, v11], axis=1)
     cells[1::2] = np.stack([v00, v11, v01], axis=1)
-    return _finish_mesh(2, m, vertices, cells, level)
+    return _finish_mesh(2, m, vertices, cells)
 
 
-def unit_cube_mesh(cells_per_side: int, level: int = 0) -> Mesh:
+def unit_cube_mesh(cells_per_side: int) -> Mesh:
     """Kuhn (six tetrahedra per cube) mesh of (0,1)^3."""
     m = int(cells_per_side)
     if m < 1:
@@ -214,7 +214,7 @@ def unit_cube_mesh(cells_per_side: int, level: int = 0) -> Mesh:
             offsets = offsets[[0, 1, 3, 2]]
         cells[:, p_idx] = corner.reshape(-1, 1) + offsets
     cells = cells.reshape(6 * n_cubes, 4)
-    return _finish_mesh(3, m, vertices, cells, level)
+    return _finish_mesh(3, m, vertices, cells)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -227,7 +227,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     if mesh.cells_per_side is None:
         raise ValueError("refinement requires a structured mesh")
     maker = unit_square_mesh if mesh.dim == 2 else unit_cube_mesh
-    return maker(2 * mesh.cells_per_side, level=mesh.level + 1)
+    return maker(2 * mesh.cells_per_side)
 
 
 def _int_coords(mesh: Mesh) -> np.ndarray:
@@ -391,4 +391,4 @@ def read_mesh(path) -> Mesh:
     h = float(lengths.max())
     return Mesh(dim=dim, cells_per_side=None, vertices=vertices, cells=cells,
                 boundary=boundary, interior=interior, dof_index=dof_index,
-                volumes=np.abs(volumes), h=h, level=0)
+                volumes=np.abs(volumes), h=h)

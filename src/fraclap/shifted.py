@@ -46,8 +46,9 @@ tolerance costs O(1) work.  A system whose carried residual misses starts
 instead from the combination of the last four stored solutions that
 minimizes its residual, a p x p least-squares problem in their stored inner
 products, and pays one matvec for that start's true residual.
-``solve_family`` is the one entry point that runs these stages in sequence;
-it returns either every solution or their weighted combination.
+``solve_family``, the one public entry point, runs ``normalize``, the
+Lanczos head and ``solve_preconditioned`` in sequence; it returns either
+every solution or their weighted combination.
 """
 
 from __future__ import annotations
@@ -70,13 +71,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
 
 from . import multigrid
 
-__all__ = [
-    "ShiftedFamily",
-    "SolveStats",
-    "normalize",
-    "solve_preconditioned",
-    "solve_family",
-]
+__all__ = ["SolveStats", "solve_family"]
 
 _log = logging.getLogger("fraclap")
 
@@ -196,16 +191,20 @@ def _accumulator(scaled: sp.spmatrix) -> partial:
                    scaled.indices, scaled.data)
 
 
-def _entry(A: sp.spmatrix, lumped_mass: np.ndarray) -> tuple:
-    """The ``_scaled_cache`` entry of ``A`` scaled with ``lumped_mass``:
-    ``(lumped_mass, A as CSR, mass as float array, A~, rho, d, A~'s
-    accumulating kernel, spare)``, built on the first call and rebuilt when
-    the mass object changes."""
+def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
+              Z: np.ndarray, labels=None) -> ShiftedFamily:
+    """Scale the family to identity shifts with unit operator sup-norm, on
+    A's ``_scaled_cache`` entry (A~, its kernel and ``spare``), built on the
+    first call and rebuilt when the lumped mass object changes."""
+    n = A.shape[0]
     key = id(A)
     with _scaled_lock:
         entry = _scaled_cache.get(key)
         if entry is None or entry[0] is not lumped_mass:
             mass = np.asarray(lumped_mass, dtype=float)
+            if mass.shape != (n,):
+                raise ValueError(f"lumped_mass must have shape ({n},) to "
+                                 f"match A, got {mass.shape}")
             if not np.all(np.isfinite(mass) & (mass > 0)):
                 raise ValueError(
                     "lumped mass must be finite and strictly positive")
@@ -216,18 +215,14 @@ def _entry(A: sp.spmatrix, lumped_mass: np.ndarray) -> tuple:
             entry = (lumped_mass, A_csr, mass, scaled, rho, d,
                      _accumulator(scaled), {})
             _scaled_cache[key] = entry
-    return entry
-
-
-def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
-              Z: np.ndarray, labels=None) -> ShiftedFamily:
-    """Scale the family to identity shifts with unit operator sup-norm."""
-    _, A, lumped_mass, scaled, rho, d, accumulate, spare = _entry(
-        A, lumped_mass)
+    _, A, lumped_mass, scaled, rho, d, accumulate, spare = entry
     shifts = np.asarray(shifts, dtype=float)
     if np.any(np.isnan(shifts)):
         raise ValueError("shifts must not be NaN")
     Z = np.asarray(Z, dtype=float)
+    if Z.shape != (n,):
+        raise ValueError(f"right-hand side Z must have shape ({n},) to match "
+                         f"A, got {Z.shape}")
     if not np.all(np.isfinite(Z)):
         raise ValueError("right-hand side Z must be finite")
     if labels is None:
@@ -246,10 +241,10 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
 _DEFLATE = 30
 
 
-def _deflate(A: sp.spmatrix, lumped_mass: np.ndarray) -> None:
-    """Keep the ``_DEFLATE`` lowest eigenpairs of A~ with the operator, for
-    every later scan on it that asks for them (see ``_head``), unless it
-    already has them or has been tried.
+def _deflate(family: ShiftedFamily) -> None:
+    """Keep the ``_DEFLATE`` lowest eigenpairs of A~ with the family's
+    operator, for every later scan on it that asks for them (see ``_head``),
+    unless it already has them or has been tried.
 
     The rows of ``U`` are the eigenvectors, from shift-invert ARPACK at zero
     through one sparse LU of A~ that is freed afterwards; ``eps`` holds the
@@ -259,8 +254,7 @@ def _deflate(A: sp.spmatrix, lumped_mass: np.ndarray) -> None:
     or an eigensolve that does not converge, so it dies with the stiffness
     matrix or a change of mass.
     """
-    entry = _entry(A, lumped_mass)
-    scaled, spare = entry[3], entry[-1]
+    scaled, spare = family.A_scaled, family.spare
     if "deflation" in spare:
         return
     n = scaled.shape[0]
@@ -568,13 +562,12 @@ class _History:
         return c @ self.X[:p]
 
 
-def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
-                         rtol: float, prec_factory=None, x_start=None,
-                         weights=None):
+def solve_preconditioned(family: ShiftedFamily, start: int, rtol: float,
+                         prec_factory=None, x_start=None, weights=None):
     """Sequential PCG over family indices start..end (decreasing shifts).
 
     A preconditioner is (re)built for the current shift whenever the
-    previous solve took more than ``iter_cap`` iterations; the first system
+    previous solve took more than ``_ITER_CAP`` iterations; the first system
     starts from ``x_start`` (zero by default), every later one from its
     better-conditioned neighbor's solution.  All systems share the
     right-hand side, so the residual is carried across shifts: while ``x``
@@ -626,8 +619,8 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
     # not iterate adds no direction to their span
     history = _History(b)
     prec = None
-    prev_iters = iter_cap + 1
-    maxiter = max(10 * iter_cap, 50)
+    prev_iters = _ITER_CAP + 1
+    maxiter = max(10 * _ITER_CAP, 50)
     for pos in range(start, family.n_shifts):
         sigma = family.shifts_scaled[pos]
         label = family.labels[pos]
@@ -654,7 +647,7 @@ def solve_preconditioned(family: ShiftedFamily, start: int, iter_cap: int,
                     r = b - op(x)
                     stats.n_matvec += 1
         freshly_built = False
-        if prev_iters > iter_cap:
+        if prev_iters > _ITER_CAP:
             prec = build(family.shifts[pos])
             freshly_built = True
         iters = 0
@@ -715,13 +708,15 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
     shifts = np.asarray(shifts, dtype=float)
+    if shifts.ndim != 1:
+        raise ValueError(f"shifts must be 1-D, got shape {shifts.shape}")
     for name, value in (("labels", labels), ("weights", weights)):
         if value is not None and np.shape(value) != shifts.shape:
             raise ValueError(f"{name} must have one entry per shift: shape "
                              f"{np.shape(value)}, shifts {shifts.shape}")
-    if deflate:
-        _deflate(A, lumped_mass)
     family = normalize(A, lumped_mass, shifts, Z, labels=labels)
+    if deflate:
+        _deflate(family)
     # the solvers stop on the normalized residual; dividing by the mass
     # scaling spread makes the bound hold for the un-normalized residual too
     mh = family.lumped_mass
@@ -738,8 +733,8 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
             f"rtol = 0 leaves {family.n_shifts - n_solved} systems to PCG, "
             "which cannot meet a zero tolerance; pass rtol > 0")
     tail, pcg = solve_preconditioned(
-        family, n_solved, _ITER_CAP, rtol, prec_factory=prec_factory,
-        x_start=x_start, weights=weights)
+        family, n_solved, rtol, prec_factory=prec_factory, x_start=x_start,
+        weights=weights)
     stats = SolveStats(
         iterations={**{family.labels[i]: n_basis for i in range(n_solved)},
                     **pcg.iterations},

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fraclap import (GeometricMultigrid, MeshHierarchy, fractional,
-                     interpolate, multigrid, normalize, read_mesh, shifted,
+from fraclap import (fractional, interpolate, multigrid, read_mesh, shifted,
                      solve_all_shifted, solve_family, unit_cube_mesh,
                      unit_square_mesh, write_mesh)
 from fraclap.fem import assemble_load, operators
 from fraclap.fractional import (SolveOptions, fractional_solve,
                                 quadrature_for_mesh)
 from fraclap.harness import hat_rhs
+from fraclap.multigrid import GeometricMultigrid, MeshHierarchy
+from fraclap.shifted import normalize
 
 # small enough that every solve below has a PCG tail
 N_MAX = 20

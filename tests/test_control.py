@@ -460,8 +460,9 @@ def eigsh_calls(monkeypatch):
 def deflation_space(mesh):
     """What the operator keeps under ``"deflation"``, or "absent"."""
     ops = operators(mesh)
-    spare = fraclap.shifted._entry(ops.stiffness, ops.lumped_mass)[-1]
-    return spare.get("deflation", "absent")
+    family = fraclap.shifted.normalize(ops.stiffness, ops.lumped_mass,
+                                       np.ones(1), np.zeros(mesh.n_interior))
+    return family.spare.get("deflation", "absent")
 
 
 class TestDeflation:

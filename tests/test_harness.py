@@ -11,6 +11,7 @@ from fraclap import (NodalFunction, hat_rhs, hs_error_surrogate, interpolate,
                      unit_square_mesh)
 from fraclap.cli import main, read_config_file
 from fraclap.fem import operators
+from fraclap.fractional import SolveOptions, fractional_solve
 import fraclap.harness
 from fraclap.harness import (ExperimentConfig, RateTable, compute_rates,
                              run_control_convergence, run_solver_stats,
@@ -167,6 +168,19 @@ class TestStateConvergence:
         assert np.linalg.norm(diff) == 0.0
 
 
+@pytest.mark.parametrize("run", [run_state_convergence,
+                                 run_control_convergence])
+@pytest.mark.parametrize("levels,message", [
+    ((2, 3), "reference level must exceed"), ((), "at least one level")])
+def test_study_levels_are_checked(tmp_path, run, levels, message):
+    # an empty study used to fail with a KeyError on the reference mesh
+    cfg = ExperimentConfig(s_values=(0.5,), levels=levels, ref_level=3,
+                           out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=message):
+        run(cfg)
+    assert not any(tmp_path.iterdir())
+
+
 class TestReferenceCache:
     def test_changed_tolerance_misses_control_cache(self, tmp_path,
                                                     monkeypatch):
@@ -228,6 +242,11 @@ class TestSolverStats:
         for n in (25, 81):
             assert by_key[(0.05, n)][2] == by_key[(0.95, n)][2]
 
+    def test_reads_no_reference_level(self):
+        # the study solves no reference; such a level used to be rejected
+        cfg = ExperimentConfig(s_values=(0.5,), levels=(2,), ref_level=2)
+        assert run_solver_stats(cfg).splitlines()[1].startswith("25,0.5,")
+
 
 class TestConfigFile:
     def test_roundtrip(self, tmp_path):
@@ -276,6 +295,9 @@ class TestCli:
         assert code == 0
         captured = capsys.readouterr()
         assert "N_omega,h,error,rate" in captured.out
+        cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3), ref_level=4)
+        table = run_state_convergence(cfg)[0.5]
+        assert captured.out == "# s = 0.5\n" + table.to_csv()
 
     def test_config_file_flag(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -410,6 +432,18 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("N_omega,s,N_alpha")
+        cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3))
+        assert out == run_solver_stats(cfg)
+
+    def test_solve_writes_the_library_solution(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["solve", "--dim", "3", "--level", "2", "--s", "0.3",
+                     "--ck", "1.2", "--rtol", "1e-9", "--out", str(out)]) == 0
+        mesh = unit_cube_mesh(4)
+        res = fractional_solve(mesh, 0.3, hat_rhs(mesh),
+                               SolveOptions(c_k=1.2, rtol=1e-9))
+        np.testing.assert_array_equal(np.loadtxt(out / "state_u.txt"),
+                                      res.u.values)
 
 
 def test_eval_p1_quarter_hat_consistency():

@@ -93,7 +93,6 @@ class TestRefinement:
         fine = refine_uniform(mesh)
         assert fine.n_vertices == 81
         assert fine.h == pytest.approx(mesh.h / 2, rel=1e-14)
-        assert fine.level == mesh.level + 1
 
     def test_two_refinements_multiply_cells_by_16(self):
         mesh = unit_square_mesh(2)

@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fraclap import (GeometricMultigrid, MeshHierarchy, SymmetricGaussSeidel,
-                     unit_cube_mesh, unit_square_mesh)
+from fraclap import unit_cube_mesh, unit_square_mesh
+from fraclap.multigrid import (GeometricMultigrid, MeshHierarchy,
+                               SymmetricGaussSeidel)
 from fraclap.fem import operators
 
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fraclap import (normalize, read_mesh, shifted, solve_family,
-                     unit_square_mesh, write_mesh)
+from fraclap import (read_mesh, shifted, solve_family, unit_square_mesh,
+                     write_mesh)
 from fraclap.fem import assemble_load, lump_mass, operators
 from fraclap.fractional import quadrature_for_mesh, sinc_quadrature
 from fraclap.harness import hat_rhs
-from fraclap.shifted import _head, solve_preconditioned
+from fraclap.shifted import _head, normalize, solve_preconditioned
 
 
 def plain_cg(A_apply, b, rtol, maxiter=10000):
@@ -86,6 +86,21 @@ class TestNormalize:
         with pytest.raises(ValueError, match="right-hand side"):
             solve_family(ops.stiffness, ops.lumped_mass,
                          np.array([1.0, 0.1]), Z)
+
+    @pytest.mark.parametrize("name", ["Z", "lumped_mass", "shifts"])
+    def test_misshapen_input_names_its_argument(self, name):
+        # these used to fail inside numpy: a broadcast error for Z or the
+        # mass, an IndexError for 2-D shifts
+        mesh = unit_square_mesh(16)
+        ops = operators(mesh)
+        args = {"A": ops.stiffness, "lumped_mass": ops.lumped_mass,
+                "shifts": np.array([1.0, 0.1]),
+                "Z": np.ones(mesh.n_interior)}
+        args[name] = {"Z": np.ones(mesh.n_interior - 1),
+                      "lumped_mass": ops.lumped_mass[1:],
+                      "shifts": np.array([[1.0, 0.1], [0.01, 1e-3]])}[name]
+        with pytest.raises(ValueError, match=name):
+            solve_family(**args)
 
     def test_shifts_sorted_decreasing(self):
         fam = normalize(sp.eye(3).tocsr(), np.ones(3),
@@ -379,23 +394,25 @@ class TestSequentialPCG:
 
     def test_empty_range_is_noop(self):
         fam = self._family()
-        sols, stats = solve_preconditioned(fam, fam.n_shifts, 20, 1e-8)
+        sols, stats = solve_preconditioned(fam, fam.n_shifts, 1e-8)
         assert sols.shape == (0, fam.n)
         assert stats.n_alg2 == 0
         assert stats.n_prec_setups == 0
 
-    def test_rebuild_trigger_fires_iff_cap_exceeded(self):
+    def test_rebuild_trigger_fires_iff_cap_exceeded(self, monkeypatch):
         fam = self._family()
         # cap 0: every system after one that iterated "exceeds" the cap and
         # rebuilds, on top of the initial setup
-        _, stats0 = solve_preconditioned(fam, fam.n_shifts - 12, 0, 1e-10)
+        monkeypatch.setattr(shifted, "_ITER_CAP", 0)
+        _, stats0 = solve_preconditioned(fam, fam.n_shifts - 12, 1e-10)
         iters = [stats0.iterations[l] for l in fam.labels[-12:]]
         assert stats0.n_prec_setups == 1 + sum(it > 0 for it in iters[:-1])
         # generous cap: only the initial setup
-        _, stats1 = solve_preconditioned(fam, fam.n_shifts - 12, 500, 1e-10)
+        monkeypatch.setattr(shifted, "_ITER_CAP", 500)
+        _, stats1 = solve_preconditioned(fam, fam.n_shifts - 12, 1e-10)
         assert stats1.n_prec_setups == 1
 
-    def test_exact_preconditioner_single_iteration(self):
+    def test_exact_preconditioner_single_iteration(self, monkeypatch):
         rng = np.random.default_rng(1)
         n = 30
         d = rng.uniform(1.0, 2.0, n)
@@ -405,7 +422,8 @@ class TestSequentialPCG:
         fam = normalize(A, np.ones(n), shifts, Z)
         # cap 0 rebuilds for every shift; symmetric Gauss-Seidel on a diagonal
         # matrix is exact
-        sols, stats = solve_preconditioned(fam, 0, 0, 1e-12)
+        monkeypatch.setattr(shifted, "_ITER_CAP", 0)
+        sols, stats = solve_preconditioned(fam, 0, 1e-12)
         assert all(v <= 1 for v in stats.iterations.values())
         for x, alpha in zip(sols, fam.shifts):
             np.testing.assert_allclose(fam.unnormalize(x),
@@ -427,7 +445,7 @@ class TestSequentialPCG:
             assert np.linalg.norm(r) <= 1e-8 * norm_z
 
 
-def traced_solve(monkeypatch, fam, start, iter_cap, rtol, **kwargs):
+def traced_solve(monkeypatch, fam, start, rtol, **kwargs):
     """``solve_preconditioned`` with its matvecs counted by wrapping
     ``fam.apply_scaled``, and its minimum-residual starts counted by wrapping
     the start itself.  Returns ``(result, matvecs, starts)``."""
@@ -444,7 +462,7 @@ def traced_solve(monkeypatch, fam, start, iter_cap, rtol, **kwargs):
 
     monkeypatch.setattr(fam, "apply_scaled", counted_apply)
     monkeypatch.setattr(shifted._History, "start", counted_start)
-    result = solve_preconditioned(fam, start, iter_cap, rtol, **kwargs)
+    result = solve_preconditioned(fam, start, rtol, **kwargs)
     return result, matvecs[0], starts[0]
 
 
@@ -465,7 +483,7 @@ class TestCarriedResidual:
 
     def test_true_residual_of_every_row(self):
         fam, _ = self._family()
-        sols, stats = solve_preconditioned(fam, self.START, 20, self.RTOL)
+        sols, stats = solve_preconditioned(fam, self.START, self.RTOL)
         iters = np.array([stats.iterations[l]
                           for l in fam.labels[self.START:]])
         # the tail mixes iterating systems with systems whose warm start
@@ -483,7 +501,7 @@ class TestCarriedResidual:
         # so a start that kept its combined residual instead of computing
         # the true one left rows at 7e-3 and 31 relative
         fam, _ = self._family(m, s)
-        sols, _ = solve_preconditioned(fam, 0, 20, self.RTOL)
+        sols, _ = solve_preconditioned(fam, 0, self.RTOL)
         b = fam.rhs_scaled
         for x, sigma in zip(sols, fam.shifts_scaled):
             r = b - fam.apply_scaled(x) - sigma * x
@@ -492,7 +510,7 @@ class TestCarriedResidual:
     def test_only_the_first_system_pays_a_residual_matvec(self, monkeypatch):
         fam, _ = self._family()
         (_, stats), matvecs, starts = traced_solve(
-            monkeypatch, fam, self.START, 20, self.RTOL)
+            monkeypatch, fam, self.START, self.RTOL)
         # no rebuild retry: every system converged within maxiter
         assert max(stats.iterations.values()) < 200
         # besides the first system's, only the minimum-residual starts pay
@@ -522,8 +540,9 @@ class TestCarriedResidual:
         # the small one: the second system, after its minimum-residual
         # start, exhausts maxiter = 50 and is retried with a fresh
         # preconditioner from its true residual
+        monkeypatch.setattr(shifted, "_ITER_CAP", 5)
         (sols, stats), matvecs, starts = traced_solve(
-            monkeypatch, fam, 0, 5, 1e-10, prec_factory=Exact)
+            monkeypatch, fam, 0, 1e-10, prec_factory=Exact)
         assert stats.n_prec_setups == 2
         assert stats.iterations[1] > 50
         assert starts == 1
@@ -536,8 +555,8 @@ class TestCarriedResidual:
 
     def test_weighted_equals_weighted_rows(self):
         fam, w = self._family()
-        rows, _ = solve_preconditioned(fam, self.START, 20, self.RTOL)
-        combined, _ = solve_preconditioned(fam, self.START, 20, self.RTOL,
+        rows, _ = solve_preconditioned(fam, self.START, self.RTOL)
+        combined, _ = solve_preconditioned(fam, self.START, self.RTOL,
                                            weights=w)
         expected = w[self.START:] @ rows
         assert np.linalg.norm(combined - expected) <= \
@@ -550,9 +569,9 @@ class TestCarriedResidual:
         fam, w = self._family()
         start = int(np.argmax(fam.shifts_scaled < 0.1))
         x_start = fam.rhs_scaled / (1.0 + fam.shifts_scaled[start])
-        rows, stats = solve_preconditioned(fam, start, 20, self.RTOL,
+        rows, stats = solve_preconditioned(fam, start, self.RTOL,
                                            x_start=x_start)
-        combined, _ = solve_preconditioned(fam, start, 20, self.RTOL,
+        combined, _ = solve_preconditioned(fam, start, self.RTOL,
                                            x_start=x_start, weights=w)
         iters = np.array(list(stats.iterations.values()))
         assert start > 0
@@ -577,7 +596,7 @@ class TestCarriedResidual:
             return x, r, iters, converged
 
         monkeypatch.setattr(shifted, "_pcg", recorded_pcg)
-        sols, _ = solve_preconditioned(fam, 0, 20, self.RTOL)
+        sols, _ = solve_preconditioned(fam, 0, self.RTOL)
         sig = fam.shifts_scaled
         ran = {int(np.argmin(np.abs(np.log(sig / s)))): run
                for run in runs for s in [run[2]]}
@@ -616,7 +635,7 @@ class TestCarriedResidual:
             return x
 
         monkeypatch.setattr(shifted._History, "start", compared_start)
-        solve_preconditioned(fam, 0, 20, self.RTOL)
+        solve_preconditioned(fam, 0, self.RTOL)
         assert len(ratios) > 10
         assert max(ratios) <= 2.0
 
@@ -684,7 +703,8 @@ def deflation_meshes(tmp_path_factory):
                   tmp_path_factory.mktemp("mesh") / "jittered32.txt", 32)}
     for mesh in meshes.values():
         ops = operators(mesh)
-        shifted._deflate(ops.stiffness, ops.lumped_mass)
+        shifted._deflate(normalize(ops.stiffness, ops.lumped_mass,
+                                   np.ones(1), np.zeros(mesh.n_interior)))
     return meshes
 
 
