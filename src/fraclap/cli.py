@@ -14,12 +14,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import control as ctl
-from . import fem, harness
+from . import harness
 from .fractional import fractional_solve
-from .mesh import write_mesh
+from .mesh import _grid_mesh, write_mesh
 
 
 def _parse_levels(text: str):
@@ -57,33 +55,41 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected one of 1/true/yes/on or 0/false/no/off")
 
 
+# parser and default of every flag; None leaves a study setting to
+# ``ExperimentConfig``, whose defaults are the state study's
 _COMMON = {
-    "dim": (int, 2),
-    "s": (_parse_s_list, None),          # per-command default below
+    "dim": (int, None),
+    "s": (_parse_s_list, None),
     "levels": (_parse_levels, None),
     "ref_level": (int, None),
-    "mu": (float, 0.1),
-    "a": (float, -0.8),
-    "b": (float, 0.8),
-    "ck": (float, 1.1),
-    "rtol": (float, 1e-8),
-    "tol": (float, 1e-5),
+    "mu": (float, None),
+    "a": (float, None),
+    "b": (float, None),
+    "ck": (float, None),
+    "rtol": (float, None),
+    "tol": (float, None),
     "mode": (str, None),
     "post_process": (_parse_bool, False),
     "out": (str, None),
-    "threads": (int, 1),
+    "threads": (int, None),
     "config": (str, None),
     "level": (int, 4),
 }
 
+# the study settings in which a command departs from ``ExperimentConfig``
 _DEFAULTS = {
-    "state-conv": {"s": (0.05, 0.10, 0.25), "levels": (3, 4, 5, 6, 7),
-                   "ref_level": 9},
+    "state-conv": {},
     "control-conv": {"s": (0.05, 0.25, 0.5), "levels": (3, 4, 5, 6),
                      "ref_level": 8},
     "solver-stats": {"s": (0.05, 0.5, 0.95), "levels": (2, 3, 4, 5, 6, 7)},
     "solve": {"s": (0.5,)},
 }
+
+# the ``ExperimentConfig`` field of every study flag
+_FIELDS = {"dim": "dim", "s": "s_values", "levels": "levels",
+           "ref_level": "ref_level", "mu": "mu", "a": "lower", "b": "upper",
+           "ck": "c_k", "rtol": "rtol", "tol": "opt_tol", "out": "out_dir",
+           "threads": "threads"}
 
 
 def _add_flags(parser: argparse.ArgumentParser, names):
@@ -130,14 +136,9 @@ def _resolve(args: argparse.Namespace, command: str, names) -> dict:
 
 
 def _experiment_config(vals: dict) -> harness.ExperimentConfig:
-    # a command that takes no levels or ref_level keeps their defaults
-    study = {name: vals[name] for name in ("levels", "ref_level")
-             if vals[name] is not None}
-    return harness.ExperimentConfig(
-        dim=vals["dim"], s_values=vals["s"], mu=vals["mu"], lower=vals["a"],
-        upper=vals["b"], c_k=vals["ck"], rtol=vals["rtol"],
-        opt_tol=vals["tol"], out_dir=vals["out"], threads=vals["threads"],
-        **study)
+    return harness.ExperimentConfig(**{
+        field: vals[name] for name, field in _FIELDS.items()
+        if vals[name] is not None})
 
 
 def _cmd_state_conv(vals: dict) -> int:
@@ -173,14 +174,14 @@ def _cmd_solve(vals: dict) -> int:
                 raise ValueError(f"--{name} needs --mode")
     config = _experiment_config(vals)   # rejects a dim other than 2 or 3
     m = 2 ** vals["level"]
-    mesh = harness._mesh(config.dim, m)
+    mesh = _grid_mesh(config.dim, m)
     s = config.s_values[0]
-    options = config.solve_options()
     summary = {"dim": config.dim, "cells_per_side": m, "s": s,
                "n_vertices": mesh.n_vertices, "h": mesh.h}
 
     if vals["mode"] is None:
-        res = fractional_solve(mesh, s, harness.hat_rhs(mesh), options)
+        res = fractional_solve(mesh, s, harness.hat_rhs(mesh),
+                               config.solve_options())
         vectors = {"state_u.txt": res.u.values}
         summary.update({
             "kind": "state", "n_systems": res.quadrature.n_systems,
@@ -189,11 +190,7 @@ def _cmd_solve(vals: dict) -> int:
             "n_matvec": res.stats.n_matvec,
         })
     else:
-        problem = ctl.ControlProblem(
-            mesh=mesh, s=s, mu=config.mu, lower=config.lower,
-            upper=config.upper,
-            desired=fem.interpolate(mesh, harness.eigen_desired),
-            mode=vals["mode"], options=options)
+        problem = harness._control_problem(config, mesh, s, vals["mode"])
         if vals["mode"] == ctl.VARIATIONAL:
             sol = ctl.solve_variational(problem, tol=config.opt_tol)
         else:
@@ -216,13 +213,13 @@ def _cmd_solve(vals: dict) -> int:
     # no partial output behind
     out_dir = vals["out"] or "fraclap-out"
     os.makedirs(out_dir, exist_ok=True)
-    write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
+    with harness._replacing(os.path.join(out_dir, "mesh.txt")) as tmp:
+        write_mesh(mesh, tmp)
     for name, values in vectors.items():
-        np.savetxt(os.path.join(out_dir, name), values, fmt="%.17g")
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+        harness._save_vector(os.path.join(out_dir, name), values)
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    harness._write(out_dir, "summary.json", text + "\n")
+    print(text)
     return 0
 
 

@@ -9,9 +9,10 @@ levels.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,8 +23,8 @@ from .control import (ControlProblem, FULLY_DISCRETE, VARIATIONAL,
                       solve_fully_discrete, solve_variational)
 from .fem import NodalFunction
 from .fractional import SolveOptions, fractional_solve
-from .mesh import (Mesh, cell_parents, eval_p1, prolongation_matrix,
-                   unit_cube_mesh, unit_square_mesh)
+from .mesh import (Mesh, _grid_mesh, cell_parents, eval_p1,
+                   prolongation_matrix)
 
 __all__ = [
     "ExperimentConfig",
@@ -119,10 +120,6 @@ def hs_error_surrogate(e_l2: float, e_h1: float, s: float) -> float:
     return e_l2 ** (1.0 - s) * e_h1 ** s
 
 
-def _mesh(dim: int, m: int) -> Mesh:
-    return unit_square_mesh(m) if dim == 2 else unit_cube_mesh(m)
-
-
 def hat_rhs(mesh: Mesh) -> NodalFunction:
     """Clamped coarse hat: min(0.25, f0) with f0 the center hat scaled to 0.5.
 
@@ -134,7 +131,7 @@ def hat_rhs(mesh: Mesh) -> NodalFunction:
     if m is None or m % 4 != 0:
         raise ValueError("hat rhs needs a structured mesh with "
                          "cells_per_side divisible by 4")
-    base = _mesh(mesh.dim, 2)
+    base = _grid_mesh(mesh.dim, 2)
     center_vals = np.zeros(base.n_vertices)
     center_vals[base.interior[0]] = 0.5
     f0 = eval_p1(base, center_vals, mesh.vertices)
@@ -164,11 +161,26 @@ class _Prolongator:
         return out
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A temporary path beside ``path``, renamed over it once the block
+    succeeds: an interrupted write leaves the previous file or none, never
+    a partial one."""
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def _write(out_dir: str | None, name: str, text: str):
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w") as fh:
+    with _replacing(os.path.join(out_dir, name)) as tmp, \
+            open(tmp, "w") as fh:
         fh.write(text)
 
 
@@ -193,18 +205,10 @@ def _load_vector(path, n: int):
 
 
 def _save_vector(path, vec: np.ndarray):
-    """Write through a temporary file in the same directory and rename it, so
-    an interrupted run leaves the previous file or none, never a partial one."""
     if path is None:
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            np.savetxt(fh, vec, fmt="%.17g")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _replacing(path) as tmp:
+        np.savetxt(tmp, vec, fmt="%.17g")
 
 
 def _cached_vector(path, n: int, compute):
@@ -240,7 +244,7 @@ def _reference_study(config: ExperimentConfig):
         raise ValueError("the reference level must exceed every study level")
     ms = [2 ** lv for lv in config.levels]
     m_ref = 2 ** config.ref_level
-    meshes = {2 ** lv: _mesh(config.dim, 2 ** lv)
+    meshes = {2 ** lv: _grid_mesh(config.dim, 2 ** lv)
               for lv in range(min(config.levels), config.ref_level + 1)}
     ref_mesh = meshes[m_ref]
     return (ms, m_ref, meshes, _Prolongator(meshes), ref_mesh,
@@ -289,7 +293,7 @@ def run_solver_stats(config: ExperimentConfig) -> str:
 
     def solve_one(args):
         s, m = args
-        mesh = _mesh(config.dim, m)
+        mesh = _grid_mesh(config.dim, m)
         res = _state_solution(mesh, s, config)
         st = res.stats
         return (s, m), (mesh.n_vertices, s, res.quadrature.n_systems,
@@ -311,6 +315,16 @@ def _quad_l2(mesh: Mesh, w: np.ndarray, diff_at_quad: np.ndarray) -> float:
     return math.sqrt(float(mesh.volumes @ ((diff_at_quad ** 2) @ w)))
 
 
+def _control_problem(config: ExperimentConfig, mesh: Mesh, s: float,
+                     mode: str) -> ControlProblem:
+    """The control study's problem on ``mesh``: the eigenfunction target
+    with the config's penalty, bounds and solve options."""
+    return ControlProblem(
+        mesh=mesh, s=s, mu=config.mu, lower=config.lower, upper=config.upper,
+        desired=fem.interpolate(mesh, eigen_desired), mode=mode,
+        options=config.solve_options())
+
+
 def _control_reference(config: ExperimentConfig, s: float, meshes, lift):
     """Variational reference solution, warm-started through coarser levels."""
     m_ref = 2 ** config.ref_level
@@ -330,12 +344,7 @@ def _control_reference(config: ExperimentConfig, s: float, meshes, lift):
     m = start
     sol = None
     while m <= m_ref:
-        mesh = meshes[m]
-        problem = ControlProblem(
-            mesh=mesh, s=s, mu=config.mu, lower=config.lower,
-            upper=config.upper,
-            desired=fem.interpolate(mesh, eigen_desired),
-            mode=VARIATIONAL, options=config.solve_options())
+        problem = _control_problem(config, meshes[m], s, VARIATIONAL)
         sol = solve_variational(problem, tol=config.opt_tol, z0=z0)
         if m < m_ref:
             z0 = lift.lift(sol.control.values, m, 2 * m)
@@ -385,15 +394,11 @@ def run_control_convergence(config: ExperimentConfig) -> dict:
         hs, n_omegas = [], []
         for m in ms:
             mesh = meshes[m]
-            desired = fem.interpolate(mesh, eigen_desired)
-            base = dict(mesh=mesh, s=s, mu=config.mu, lower=config.lower,
-                        upper=config.upper, desired=desired,
-                        options=config.solve_options())
             p0_sol = solve_fully_discrete(
-                ControlProblem(mode=FULLY_DISCRETE, **base),
+                _control_problem(config, mesh, s, FULLY_DISCRETE),
                 tol=config.opt_tol)
             var_sol = solve_variational(
-                ControlProblem(mode=VARIATIONAL, **base),
+                _control_problem(config, mesh, s, VARIATIONAL),
                 tol=config.opt_tol)
 
             parents = cell_parents(mesh, ref_mesh)

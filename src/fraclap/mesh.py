@@ -1,12 +1,15 @@
 """Structured simplicial meshes of the unit square and unit cube.
 
 Meshes are conforming, quasi-uniform triangulations built on a regular grid
-with ``m`` cells per side.  In 2D every grid square is split into two
-triangles along the same (1,1) diagonal; in 3D every grid cube is split into
-six tetrahedra sharing the main diagonal (Kuhn subdivision).  Both families
-are self-similar under uniform (red) refinement, so ``refine_uniform``
-reproduces the structured mesh at twice the resolution and nested-grid
-transfer operators can be computed arithmetically.
+with ``m`` cells per side.  Every grid cell is split by Kuhn's (Freudenthal's)
+construction into ``dim!`` simplices around its main diagonal, one per
+ordering of the axes: the simplex of a permutation is the vertex path that
+steps from the cell's lowest corner along the axes in that order.  In 2D the
+two permutations give the two triangles of a fixed (1,1) diagonal; in 3D the
+six give the Kuhn tetrahedra.  The split is self-similar under uniform (red)
+refinement, so ``refine_uniform`` reproduces the structured mesh at twice
+the resolution and nested-grid transfer operators can be computed
+arithmetically.
 
 Vertices are ordered lexicographically by coordinate, and so are the interior
 degrees of freedom, which makes all derived quantities deterministic.
@@ -15,6 +18,7 @@ degrees of freedom, which makes all derived quantities deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +36,11 @@ __all__ = [
     "read_mesh",
 ]
 
-# Kuhn subdivision: tet #p of a grid cube covers the region where the local
-# coordinates sorted in decreasing order follow permutation p.
-_PERMS_3D = list(itertools.permutations((0, 1, 2)))
+# Kuhn subdivision: simplex #p of a grid cell covers the region where the
+# local coordinates sorted in decreasing order follow permutation p (the
+# permutations in lexicographic order).
+_PERMS = {dim: np.array(list(itertools.permutations(range(dim))))
+          for dim in (2, 3)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,23 +93,23 @@ def _grid_vertices(m: int, dim: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=1)
 
 
-def _finish_mesh(dim: int, m: int, vertices: np.ndarray,
-                 cells: np.ndarray) -> Mesh:
+def _digits(base: int, dim: int) -> np.ndarray:
+    """Place values of a ``dim``-digit number in ``base``, most significant
+    first: the weights of a lexicographic numbering."""
+    return base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+
+
+def _boundary_dofs(vertices: np.ndarray):
+    """``(boundary, interior, dof_index)`` of the vertices on the faces of
+    their bounding box; interior vertices are numbered in their own order."""
     boundary = np.zeros(vertices.shape[0], dtype=bool)
-    for d in range(dim):
-        boundary |= np.isclose(vertices[:, d], 0.0)
-        boundary |= np.isclose(vertices[:, d], 1.0)
+    for d in range(vertices.shape[1]):
+        boundary |= np.isclose(vertices[:, d], vertices[:, d].min())
+        boundary |= np.isclose(vertices[:, d], vertices[:, d].max())
     interior = np.flatnonzero(~boundary)
     dof_index = np.full(vertices.shape[0], -1, dtype=np.int64)
     dof_index[interior] = np.arange(interior.size)
-    volumes = _signed_volumes(vertices, cells)
-    bad = np.flatnonzero(~(volumes > 0))
-    if bad.size:
-        raise ValueError(f"cell {bad[0]} has non-positive volume")
-    h = float(np.sqrt(dim) / m)
-    return Mesh(dim=dim, cells_per_side=m, vertices=vertices, cells=cells,
-                boundary=boundary, interior=interior, dof_index=dof_index,
-                volumes=volumes, h=h)
+    return boundary, interior, dof_index
 
 
 # Cells per chunk of the closed-form geometry loops (volumes here, operator
@@ -147,7 +153,7 @@ def _cell_geometry(vertices: np.ndarray, cells: np.ndarray,
                 j, l = (i + 1) % 3, (i + 2) % 3
                 np.subtract(a[j] * b[l], a[l] * b[j], out=normals[k, i])
     det = (e[:, 0] * normals[0]).sum(axis=0)
-    volumes = det / (2.0 if dim == 2 else 6.0)
+    volumes = det / math.factorial(dim)
     if not gradients:
         return None, volumes
     grads = np.empty((dim + 1, dim, n))
@@ -164,77 +170,59 @@ def _signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return volumes
 
 
-def unit_square_mesh(cells_per_side: int) -> Mesh:
-    """Right-triangle mesh of (0,1)^2, one fixed diagonal per grid square."""
+def _grid_mesh(dim: int, cells_per_side: int) -> Mesh:
+    """Kuhn mesh of (0,1)^dim: the grid cells in lexicographic order, each
+    split into one simplex per axis permutation."""
     m = int(cells_per_side)
     if m < 1:
         raise ValueError("cells_per_side must be >= 1")
-    vertices = _grid_vertices(m, 2)
+    vertices = _grid_vertices(m, dim)
+    strides = _digits(m + 1, dim)
+    # vertex id of every cell's lowest corner, lexicographic over the cells
+    corner = np.zeros(1, dtype=np.int64)
+    for stride in strides:
+        corner = (corner[:, None] + np.arange(m) * stride).ravel()
+    perms = _PERMS[dim]
+    cells = np.empty((m ** dim, len(perms), dim + 1), dtype=np.int64)
+    for p_idx, perm in enumerate(perms):
+        offsets = np.concatenate([[0], np.cumsum(strides[perm])])
+        # odd permutations give negative orientation; swap two vertices
+        if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2:
+            offsets[-2:] = offsets[-1], offsets[-2]
+        cells[:, p_idx] = corner[:, None] + offsets
+    cells = cells.reshape(-1, dim + 1)
+    boundary, interior, dof_index = _boundary_dofs(vertices)
+    return Mesh(dim=dim, cells_per_side=m, vertices=vertices, cells=cells,
+                boundary=boundary, interior=interior, dof_index=dof_index,
+                volumes=_signed_volumes(vertices, cells),
+                h=float(np.sqrt(dim) / m))
 
-    def vid(i, j):
-        return i * (m + 1) + j
 
-    i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    i = i.ravel()
-    j = j.ravel()
-    v00 = vid(i, j)
-    v10 = vid(i + 1, j)
-    v01 = vid(i, j + 1)
-    v11 = vid(i + 1, j + 1)
-    # two triangles per square: local xi >= eta first, then xi <= eta
-    cells = np.empty((2 * m * m, 3), dtype=np.int64)
-    cells[0::2] = np.stack([v00, v10, v11], axis=1)
-    cells[1::2] = np.stack([v00, v11, v01], axis=1)
-    return _finish_mesh(2, m, vertices, cells)
+def unit_square_mesh(cells_per_side: int) -> Mesh:
+    """Right-triangle mesh of (0,1)^2, one fixed diagonal per grid square."""
+    return _grid_mesh(2, cells_per_side)
 
 
 def unit_cube_mesh(cells_per_side: int) -> Mesh:
     """Kuhn (six tetrahedra per cube) mesh of (0,1)^3."""
-    m = int(cells_per_side)
-    if m < 1:
-        raise ValueError("cells_per_side must be >= 1")
-    vertices = _grid_vertices(m, 3)
-
-    strides = np.array([(m + 1) ** 2, m + 1, 1], dtype=np.int64)
-    # vertex id of every cube's lowest corner, lexicographic over the cubes
-    corner = (np.arange(m) * strides[0])[:, None, None] \
-        + (np.arange(m) * strides[1])[None, :, None] + np.arange(m)
-    n_cubes = m ** 3
-    cells = np.empty((n_cubes, 6, 4), dtype=np.int64)
-    eye = np.eye(3, dtype=np.int64)
-    for p_idx, perm in enumerate(_PERMS_3D):
-        path = np.zeros((4, 3), dtype=np.int64)
-        for step, axis in enumerate(perm):
-            path[step + 1] = path[step] + eye[axis]
-        offsets = path @ strides
-        # odd permutations give negative orientation; swap two vertices
-        sign = (-1) ** sum(perm[a] > perm[b]
-                           for a in range(3) for b in range(a + 1, 3))
-        if sign < 0:
-            offsets = offsets[[0, 1, 3, 2]]
-        cells[:, p_idx] = corner.reshape(-1, 1) + offsets
-    cells = cells.reshape(6 * n_cubes, 4)
-    return _finish_mesh(3, m, vertices, cells)
+    return _grid_mesh(3, cells_per_side)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Bisect every edge: the structured mesh at twice the resolution.
 
-    Both structured families are self-similar under red refinement, so the
-    refined mesh is rebuilt directly at 2m cells per side; nestedness of the
-    P1 spaces is exercised by the transfer operators below.
+    The Kuhn split is self-similar under red refinement, so the refined mesh
+    is rebuilt directly at 2m cells per side; nestedness of the P1 spaces is
+    exercised by the transfer operators below.
     """
     if mesh.cells_per_side is None:
         raise ValueError("refinement requires a structured mesh")
-    maker = unit_square_mesh if mesh.dim == 2 else unit_cube_mesh
-    return maker(2 * mesh.cells_per_side)
+    return _grid_mesh(mesh.dim, 2 * mesh.cells_per_side)
 
 
 def _int_coords(mesh: Mesh) -> np.ndarray:
     """Vertex coordinates as exact integers on the m-grid."""
-    m = mesh.cells_per_side
-    q = np.rint(mesh.vertices * m).astype(np.int64)
-    return q
+    return np.rint(mesh.vertices * mesh.cells_per_side).astype(np.int64)
 
 
 def prolongation_matrix(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
@@ -242,8 +230,8 @@ def prolongation_matrix(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 
     Fine vertices sit either on coarse vertices or on midpoints of coarse
     edges: the parity of the integer fine-grid coordinates identifies which,
-    and the offending edge always exists because the fixed diagonal (2D) and
-    the Kuhn edge directions (3D) span every {0,1}^dim offset.
+    and the offending edge always exists because the Kuhn edge directions
+    span every {0,1}^dim offset.
     """
     if coarse.dim != fine.dim:
         raise ValueError("dimension mismatch")
@@ -253,8 +241,7 @@ def prolongation_matrix(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 
     qf = _int_coords(fine)[fine.interior]        # integer coords on 2m grid
     parity = qf % 2
-    strides = np.array([(mc + 1) ** d for d in range(coarse.dim - 1, -1, -1)],
-                       dtype=np.int64)
+    strides = _digits(mc + 1, coarse.dim)
 
     rows, cols, vals = [], [], []
     is_vertex = ~parity.any(axis=1)
@@ -283,21 +270,16 @@ def prolongation_matrix(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 
 def _locate_cells_int(mesh: Mesh, num: np.ndarray, denom: int) -> np.ndarray:
     """Cells containing points given as exact fractions num/denom."""
-    m = mesh.cells_per_side
+    m, dim = mesh.cells_per_side, mesh.dim
     t = num * m
     idx = np.clip(t // denom, 0, m - 1)
     loc = t - idx * denom                      # local coords, scaled by denom
-    if mesh.dim == 2:
-        square = idx[:, 0] * m + idx[:, 1]
-        upper = loc[:, 0] < loc[:, 1]
-        return 2 * square + upper.astype(np.int64)
-    cube = (idx[:, 0] * m + idx[:, 1]) * m + idx[:, 2]
+    # the axes by decreasing local coordinate (ties by axis) are the Kuhn
+    # permutation; read as base-dim numbers, the sorted table finds its index
     order = np.argsort(-loc, axis=1, kind="stable")
-    code = order[:, 0] * 9 + order[:, 1] * 3 + order[:, 2]
-    perm_of_code = np.full(27, -1, dtype=np.int64)
-    for p_idx, perm in enumerate(_PERMS_3D):
-        perm_of_code[perm[0] * 9 + perm[1] * 3 + perm[2]] = p_idx
-    return 6 * cube + perm_of_code[code]
+    digits = _digits(dim, dim)
+    perm = np.searchsorted(_PERMS[dim] @ digits, order @ digits)
+    return len(_PERMS[dim]) * (idx @ _digits(m, dim)) + perm
 
 
 def cell_parents(coarse: Mesh, fine: Mesh) -> np.ndarray:
@@ -351,40 +333,33 @@ def read_mesh(path) -> Mesh:
     """Read a mesh dump; recognizes structured meshes by their vertex grid."""
     with open(path) as fh:
         dim, nv, nc = (int(t) for t in fh.readline().split())
+        if dim not in _PERMS:
+            raise ValueError(f"mesh dimension must be 2 or 3, got {dim}")
         vertices = np.array([[float(t) for t in fh.readline().split()]
                              for _ in range(nv)])
         cells = np.array([[int(t) for t in fh.readline().split()]
                           for _ in range(nc)], dtype=np.int64)
     if vertices.shape != (nv, dim) or cells.shape != (nc, dim + 1):
         raise ValueError("malformed mesh file")
-    m = round((nc / (2 if dim == 2 else 6)) ** (1.0 / dim))
-    # exact structured layout check: vertex count and lattice positions
-    structured = False
-    if nc == (2 if dim == 2 else 6) * m ** dim and nv == (m + 1) ** dim:
-        lattice = _grid_vertices(m, dim)
-        structured = np.allclose(np.sort(vertices.ravel()),
-                                 np.sort(lattice.ravel()), atol=1e-12)
-    if structured:
-        q = np.rint(vertices * m).astype(np.int64)
-        strides = np.array([(m + 1) ** d for d in range(dim - 1, -1, -1)])
-        if np.array_equal(q @ strides, np.arange(nv)):
-            ref = unit_square_mesh(m) if dim == 2 else unit_cube_mesh(m)
-            if np.array_equal(ref.cells[np.lexsort(ref.cells.T[::-1])],
-                              cells[np.lexsort(cells.T[::-1])]):
-                return ref
-    boundary = np.zeros(nv, dtype=bool)
-    for d in range(dim):
-        boundary |= np.isclose(vertices[:, d], vertices[:, d].min())
-        boundary |= np.isclose(vertices[:, d], vertices[:, d].max())
-    interior = np.flatnonzero(~boundary)
-    dof_index = np.full(nv, -1, dtype=np.int64)
-    dof_index[interior] = np.arange(interior.size)
+    bad = np.flatnonzero(((cells < 0) | (cells >= nv)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"cell {bad[0]} names a vertex outside 0..{nv - 1}")
+    per_cell = math.factorial(dim)
+    m = round((nc / per_cell) ** (1.0 / dim))
+    # structured: the lattice in lexicographic order and the Kuhn cells
+    if (nc == per_cell * m ** dim and nv == (m + 1) ** dim
+            and np.allclose(vertices, _grid_vertices(m, dim), atol=1e-12)):
+        ref = _grid_mesh(dim, m)
+        if np.array_equal(ref.cells[np.lexsort(ref.cells.T[::-1])],
+                          cells[np.lexsort(cells.T[::-1])]):
+            return ref
+    boundary, interior, dof_index = _boundary_dofs(vertices)
     volumes = _signed_volumes(vertices, cells)
     edges = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
     lengths = np.sqrt((edges ** 2).sum(axis=2))
     # |det| is at most the product of the edge lengths (Hadamard); a cell
     # whose ratio is at rounding level has no usable gradients
-    det = np.abs(volumes) * (2 if dim == 2 else 6)
+    det = np.abs(volumes) * per_cell
     bad = np.flatnonzero(~(det > 1e-12 * lengths.prod(axis=1)))
     if bad.size:
         raise ValueError(f"cell {bad[0]} is degenerate (zero volume)")

@@ -156,17 +156,6 @@ class TestStateConvergence:
         assert csv1 == csv2
         assert (tmp_path / "cache").is_dir()
 
-    def test_reference_error_against_itself_is_zero(self, tmp_path):
-        cfg = ExperimentConfig(s_values=(0.5,), levels=(3,), ref_level=4,
-                               out_dir=None)
-        # degenerate check through the prolongation identity: solving the
-        # reference and comparing with itself gives zero
-        from fraclap.fractional import SolveOptions, fractional_solve
-        mesh = unit_square_mesh(16)
-        res = fractional_solve(mesh, 0.5, hat_rhs(mesh), SolveOptions())
-        diff = res.u.values - res.u.values
-        assert np.linalg.norm(diff) == 0.0
-
 
 @pytest.mark.parametrize("run", [run_state_convergence,
                                  run_control_convergence])
@@ -224,6 +213,33 @@ class TestReferenceCache:
         assert (tmp_path / "state_conv_s0.5.csv").read_text() == csv
         assert path.read_text().splitlines(True) == lines
         assert not list((tmp_path / "cache").glob("*.tmp"))
+
+
+def test_interrupted_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    fraclap.harness._write(str(tmp_path), "table.csv", "old\n")
+
+    class DiskFull:
+        """A file whose write stores half its text, then fails."""
+
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError("No space left on device")
+
+    monkeypatch.setattr(fraclap.harness, "open", DiskFull, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        fraclap.harness._write(str(tmp_path), "table.csv", "new rows\n" * 9)
+    assert (tmp_path / "table.csv").read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 class TestSolverStats:
