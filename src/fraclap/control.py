@@ -80,8 +80,8 @@ class ControlProblem:
     def __post_init__(self):
         if not self.lower <= 0.0 <= self.upper:
             raise ValueError("bounds must satisfy lower <= 0 <= upper")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
+        if not (math.isfinite(self.mu) and self.mu > 0.0):
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         if self.mode not in (VARIATIONAL, FULLY_DISCRETE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.desired.mesh is not self.mesh:

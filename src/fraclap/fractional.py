@@ -60,7 +60,7 @@ def sinc_quadrature(s: float, k: float) -> SincQuadrature:
     """Quadrature nodes/weights for fractional power s and step k."""
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
-    if k <= 0.0:
+    if not k > 0.0:
         raise ValueError("k must be positive")
     n_plus = math.ceil(np.pi ** 2 / (4.0 * s * k * k))
     n_minus = math.ceil(np.pi ** 2 / (4.0 * (1.0 - s) * k * k))
@@ -78,7 +78,7 @@ def sinc_quadrature(s: float, k: float) -> SincQuadrature:
 
 def quadrature_for_mesh(s: float, h: float, c_k: float = 1.1) -> SincQuadrature:
     """Quadrature with k = c_k / log(2/h), balancing both error sources."""
-    if h <= 0.0 or c_k <= 0.0:
+    if not (h > 0.0 and c_k > 0.0):
         raise ValueError("h and c_k must be positive")
     return sinc_quadrature(s, c_k / math.log(2.0 / h))
 

@@ -34,21 +34,23 @@ scan then starts from the right-hand side with those modes taken out, adds
 their exact part to every solution, and stops on the tolerance less the
 modes' residual bound, so the basis no longer grows to resolve the lowest
 modes for the smallest shifts.  A solve that does not ask ignores the
-space.  The
-remaining (small-shift) systems are solved sequentially by preconditioned
-CG, rebuilding the preconditioner whenever the previous system needed more
-than ``_ITER_CAP`` iterations.  Each system starts from its neighbor's
-solution, and since all systems share the right-hand side its initial
-residual follows from the neighbor's final residual without a matvec; while
-the solution stays fixed, the norm of that carried residual follows from
-three inner products, so a system whose warm start already meets the
-tolerance costs O(1) work.  A system whose carried residual misses starts
-instead from the combination of the last four stored solutions that
-minimizes its residual, a p x p least-squares problem in their stored inner
-products, and pays one matvec for that start's true residual.
-``solve_family``, the one public entry point, runs ``normalize``, the
-Lanczos head and ``solve_preconditioned`` in sequence; it returns either
-every solution or their weighted combination.
+space.  The remaining (small-shift) systems are solved sequentially by
+preconditioned CG, rebuilding the preconditioner whenever the previous
+system needed more than ``_ITER_CAP`` iterations.  Each system starts from
+its neighbor's solution, and since all systems share the right-hand side
+its initial residual follows from the neighbor's final residual without a
+matvec; while the solution stays fixed, the norm of that carried residual
+follows from three inner products, so a system whose warm start already
+meets the tolerance costs O(1) work.  A system whose carried residual
+misses starts instead from the combination of the last four stored
+solutions that minimizes its residual, a p x p least-squares problem in
+their stored inner products, and pays one matvec for that start's true
+residual.  ``solve_family``, the one public entry point, runs
+``normalize``, the Lanczos head and ``solve_preconditioned`` in sequence.
+All three compute ``W @ [V^1; ...; V^S]`` for one ``(r, S)`` combination
+matrix ``W``, columns in family order, the head and the tail each over
+their own shifts: one row of weights gives the weighted sum, the identity
+every solution.
 """
 
 from __future__ import annotations
@@ -398,20 +400,21 @@ def _combine(family: ShiftedFamily, Q: np.ndarray, a: np.ndarray,
     return out
 
 
-def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None,
+def _head(family: ShiftedFamily, n_max: int, tol_abs: float, W: np.ndarray,
           deflate: bool = False):
     """Galerkin solutions of the leading shifts in one Lanczos basis.
 
     With ``T = V diag(theta) V^T`` the basis' tridiagonal, shift ``sigma``
-    has the solution ``beta0 Q^T V (V[0] / (theta + sigma))`` and the
-    residual ``beta0 prod(b) / prod(theta + sigma)``.  Returns ``(n_solved,
-    n_basis, n_products, head, x_last)``: the number of leading shifts
-    solved, the basis size, the matvecs spent, their solutions (or with
-    ``weights`` the weighted sum over them) in scaled space, and the last
-    solved shift's solution when the tail still has systems (else None).
-    ``_combine`` forms every wanted combination from the basis vectors the
-    scan kept, sweeping a basis that outgrew them a second time, at one more
-    matvec per vector beyond them.
+    has the solution ``beta0 Q^T V (V[0] / (theta + sigma))`` (the columns
+    of ``G``) and the residual ``beta0 prod(b) / prod(theta + sigma)``.
+    Returns ``(n_solved, n_basis, n_products, head, x_last)``: the number
+    of leading shifts solved, the basis size, the matvecs spent, ``W[:,
+    :n_solved]`` times their solutions (``W`` the ``(r, S)`` combination
+    matrix, columns in family order; scaled space), and the last solved
+    shift's solution when the tail still has systems (else None).
+    ``_combine`` forms ``(V @ (G @ W.T)).T``, one unit row more for that
+    start, from the basis vectors the scan kept, sweeping a basis that
+    outgrew them a second time, at one more matvec per vector beyond them.
 
     With ``deflate``, when the operator keeps a deflation space ``(U, lam,
     eps)`` (see ``_deflate``), the scan starts from ``b_perp = b - U^T c``,
@@ -440,9 +443,9 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None,
             tol_abs -= bound
             modal = c / (lam[None, :] + sig[:, None])
     beta0 = float(np.linalg.norm(z))
-    n_solved, n_basis, n_products, tail = S, 0, 0, False
+    n_solved, n_basis, n_products, r = S, 0, 0, W.shape[0]
     if beta0 <= tol_abs:                # the zero start solves every shift
-        sums = np.zeros((1 if weights is not None else S, family.n))
+        sums = np.zeros((r, family.n))
     else:
         basis, a, b, done = _lanczos(family, z, n_max, tol_abs)
         theta, V = eigh_tridiagonal(a, b[:-1])
@@ -454,25 +457,19 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, weights=None,
                        - np.log(theta[:, None] + sig[None, :]).sum(axis=0))
             with np.errstate(divide="ignore"):  # rtol = 0 solves nothing
                 n_solved = int(np.count_nonzero(log_res <= np.log(tol_abs)))
-        tail = 0 < n_solved < S
+        # with a tail, a unit row more picks its start
+        W = W[:, :n_solved]
+        if 0 < n_solved < S:
+            W = np.vstack([W, np.eye(1, n_solved, n_solved - 1)])
         G = beta0 * V[0][:, None] / (theta[:, None] + sig[None, :n_solved])
-        # the head's solutions, or their weighted sum and the tail's start,
-        # as combinations of the basis vectors; with a tail, the last row is
-        # its start
-        C = (V @ G).T if weights is None else \
-            np.array([V @ (G @ weights[:n_solved])]
-                     + ([V @ G[:, -1]] if tail else []))
         stored = basis[:len(a)]
-        sums = _combine(family, stored, a, b, C)
+        sums = _combine(family, stored, a, b, (V @ (G @ W.T)).T)
         family.spare["Q"] = basis       # done with it: the next scan's spare
         n_basis, n_products = len(a), 2 * len(a) - len(stored)
     if modal is not None:
-        F = modal[:n_solved]
-        sums += (F if weights is None else np.array(
-            [weights[:n_solved] @ F] + ([F[-1]] if tail else []))) @ U
-    head = sums if weights is None else sums[0]
-    return (n_solved, n_basis, n_products, head,
-            sums[-1] if tail else None)
+        sums += (W @ modal[:n_solved]) @ U
+    return (n_solved, n_basis, n_products, sums[:r],
+            sums[r] if len(sums) > r else None)
 
 
 def _pcg(op, x0, r0, prec, tol, maxiter):
@@ -563,7 +560,7 @@ class _History:
 
 
 def solve_preconditioned(family: ShiftedFamily, start: int, rtol: float,
-                         prec_factory=None, x_start=None, weights=None):
+                         W: np.ndarray, prec_factory=None, x_start=None):
     """Sequential PCG over family indices start..end (decreasing shifts).
 
     A preconditioner is (re)built for the current shift whenever the
@@ -575,24 +572,24 @@ def solve_preconditioned(family: ShiftedFamily, start: int, rtol: float,
     ``sigma`` as ``r - (sigma - sigma_r) x``, whose squared norm follows
     from ``r.r``, ``r.x`` and ``x.x``, taken once per new ``x``.  A system
     whose carried residual meets the tolerance by that estimate, with a
-    rounding margin, costs no vector work at all: with ``weights`` the
-    weights of such a run add up as a scalar until ``x`` changes.  Otherwise
-    the carried residual is formed; when it misses, the system starts
-    instead from the combination of the last four solutions (of the first
-    system and of those that iterated) that minimizes its residual, a p x p
-    problem in their stored inner products (``_History``).  That start pays
-    one matvec for its true residual ``b - op(x)``: the combined residual
-    loses accuracy to rounding when the coefficients are large.  Otherwise
-    only the first system, and the retry after a fresh preconditioner,
-    compute ``b - op(x)``.  Returns ``(solutions or weighted sum, stats)``
-    in scaled space.
+    rounding margin, costs no vector work at all: its column of ``W`` joins
+    a run weight that each change of ``x`` adds, times the old ``x``, to the
+    rows where it is nonzero.  Otherwise the carried residual is formed;
+    when it misses, the system starts instead from the combination of the
+    last four solutions (of the first system and of those that iterated)
+    that minimizes its residual, a p x p problem in their stored inner
+    products (``_History``).  That start pays one matvec for its true
+    residual ``b - op(x)``: the combined residual loses accuracy to
+    rounding when the coefficients are large.  Otherwise only the first
+    system, and the retry after a fresh preconditioner, compute ``b -
+    op(x)``.  Returns ``(W[:, start:] @ solutions, stats)``, ``W`` the ``(r,
+    S)`` combination matrix with columns in family order, in scaled space.
     """
     count = family.n_shifts - start
     stats = SolveStats(n_alg2=count)
     b = family.rhs_scaled
     norm_b = float(np.linalg.norm(b))
-    out = np.zeros(family.n) if weights is not None else \
-        np.zeros((count, family.n))
+    out = np.zeros((W.shape[0], family.n))
     if count == 0 or norm_b == 0.0:     # nothing to solve, or zero solutions
         return out, stats
 
@@ -614,7 +611,7 @@ def solve_preconditioned(family: ShiftedFamily, start: int, rtol: float,
     x = x_start if x_start is not None else np.zeros(family.n)
     r = None                # residual of x at shift sigma_r, formed explicitly
     sigma_r = rr = rx = xx = 0.0
-    w_run = 0.0             # weight of the systems x solved since it changed
+    w_run = np.zeros(W.shape[0])    # W's columns summed since x changed
     # the latest systems that iterated, or were the first: a system that did
     # not iterate adds no direction to their span
     history = _History(b)
@@ -672,16 +669,18 @@ def solve_preconditioned(family: ShiftedFamily, start: int, rtol: float,
             rr, rx, xx = float(r @ r), float(r @ x), float(x @ x)
         stats.iterations[label] = iters
         prev_iters = iters
-        if weights is None:
-            out[pos - start] = x
-        else:
-            if x is not x_prev:
-                out += w_run * x_prev
-                w_run = 0.0
-            w_run += weights[pos]
-    if weights is not None:
-        out += w_run * x
+        if x is not x_prev:
+            _add_run(out, w_run, x_prev)
+        w_run += W[:, pos]
+    _add_run(out, w_run, x)
     return out, stats
+
+
+def _add_run(out, w_run, x):
+    """``out += w_run x`` on the rows where ``w_run`` is nonzero; zero it."""
+    rows = np.flatnonzero(w_run)
+    out[rows] += w_run[rows, None] * x
+    w_run.fill(0.0)
 
 
 def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
@@ -693,15 +692,16 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     ``n_max`` vectors (of which at most ``_STORED_MAX`` are kept in
     memory), the rest by ``solve_preconditioned`` warm-started from the
     last multishift solution.  ``labels`` and ``weights``, when given, have
-    one entry per shift.  Returns ``(values, stats)``: the solution stack
-    (input shift order, one row per shift), or with ``weights`` the
-    combination ``sum_l w_l V^l``, which avoids materializing every
-    solution.  ``rtol = 0`` is accepted only when the
-    Lanczos basis solves every shift exactly (an invariant subspace).  With
-    ``deflate`` the operator's lowest eigenpairs are taken out of the scan
-    (``_deflate`` builds them on the first such solve on the operator);
-    without it the scan ignores a space another solve built, so the result
-    depends on the inputs alone.
+    one entry per shift.  Both parts compute ``W @ [V^1; ...; V^S]`` for
+    one combination matrix ``W`` (columns in family order): the identity in
+    the caller's shift order, whose rows are the returned solution stack,
+    or the one row of ``weights``, whose ``sum_l w_l V^l`` is returned
+    without materializing every solution.  ``rtol = 0`` is accepted only
+    when the Lanczos basis solves every shift exactly (an invariant
+    subspace).  With ``deflate`` the operator's lowest eigenpairs are taken
+    out of the scan (``_deflate`` builds them on the first such solve on
+    the operator); without it the scan ignores a space another solve built,
+    so the result depends on the inputs alone.  Returns ``(values, stats)``.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -714,6 +714,11 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
         if value is not None and np.shape(value) != shifts.shape:
             raise ValueError(f"{name} must have one entry per shift: shape "
                              f"{np.shape(value)}, shifts {shifts.shape}")
+    order = np.argsort(-shifts, kind="stable")     # family order
+    W, pick = (np.eye(shifts.size)[:, order], slice(None)) if weights is None \
+        else (np.asarray(weights, dtype=float)[None, order], 0)
+    if not np.all(np.isfinite(W)):
+        raise ValueError("weights must be finite")
     family = normalize(A, lumped_mass, shifts, Z, labels=labels)
     if deflate:
         _deflate(family)
@@ -721,20 +726,16 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     # scaling spread makes the bound hold for the un-normalized residual too
     mh = family.lumped_mass
     rtol = rtol / math.sqrt(float(mh.max() / mh.min()))
-    order = np.argsort(-shifts, kind="stable")     # family order
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)[order]
-
     tol_abs = rtol * float(np.linalg.norm(family.rhs_scaled))
     n_solved, n_basis, n_products, head, x_start = _head(
-        family, n_max, tol_abs, weights, deflate)
+        family, n_max, tol_abs, W, deflate)
     if rtol == 0.0 and n_solved < family.n_shifts:
         raise ValueError(
             f"rtol = 0 leaves {family.n_shifts - n_solved} systems to PCG, "
             "which cannot meet a zero tolerance; pass rtol > 0")
     tail, pcg = solve_preconditioned(
-        family, n_solved, rtol, prec_factory=prec_factory, x_start=x_start,
-        weights=weights)
+        family, n_solved, rtol, W, prec_factory=prec_factory,
+        x_start=x_start)
     stats = SolveStats(
         iterations={**{family.labels[i]: n_basis for i in range(n_solved)},
                     **pcg.iterations},
@@ -742,7 +743,5 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
         crossover=family.labels[n_solved - 1] if n_solved else None,
         n_prec_setups=pcg.n_prec_setups,
         n_matvec=n_products + pcg.n_matvec)
-    if weights is not None:
-        return family.unnormalize(head + tail), stats
-    rows = family.unnormalize(np.vstack([head, tail]))
-    return rows[np.argsort(order)], stats      # the caller's shift order
+    head += tail
+    return family.unnormalize(head)[pick], stats

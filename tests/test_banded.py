@@ -344,6 +344,7 @@ class TestRegeneratedBasis:
         for weights, (rtol, n_max) in itertools.product(
                 (quad.weights[::-1], None), ((1e-8, 200), (1e-12, 50))):
             tol_abs = rtol * np.linalg.norm(family.rhs_scaled)
+            W = np.eye(family.n_shifts) if weights is None else weights[None]
             runs = {}
             for cap in (shifted._STORED_MAX, 1, 2, 20):
                 scans, products, steps = [], [], []
@@ -368,7 +369,7 @@ class TestRegeneratedBasis:
                                   counting)
                     patch.setattr(shifted, "_step", counting_step)
                     family.spare.clear()
-                    out = shifted._head(family, n_max, tol_abs, weights)
+                    out = shifted._head(family, n_max, tol_abs, W)
                     assert family.spare["Q"].shape[0] == min(n_max, cap)
                     n_basis, n_products = out[1:3]
                     n_regenerated = max(n_basis - min(n_max, cap), 0)
@@ -392,7 +393,8 @@ class TestRegeneratedBasis:
                 assert (got_solved, got_basis) == (n_solved, n_basis)
                 for got, want in zip(got_scan, scan):
                     np.testing.assert_array_equal(got, want)
-                # row by row: one solution, or the weighted sum
+                # row by row: one solution (zero for a shift left to the
+                # tail), or the weighted sum
                 assert np.all(np.linalg.norm(got_head - head, axis=-1) <=
                               1e-13 * np.linalg.norm(head, axis=-1))
                 if x_last is not None:

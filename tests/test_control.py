@@ -335,6 +335,16 @@ class TestProblemValidation:
                            desired=interpolate(mesh, u_d_fn),
                            mode=VARIATIONAL)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_mu_finite(self, mu):
+        # a non-finite mu used to construct, and the first solve then
+        # blamed its right-hand side
+        mesh = unit_square_mesh(4)
+        with pytest.raises(ValueError, match="mu"):
+            ControlProblem(mesh=mesh, s=0.5, mu=mu, lower=-1, upper=1,
+                           desired=interpolate(mesh, u_d_fn),
+                           mode=VARIATIONAL)
+
 
 @pytest.mark.parametrize("mode", [VARIATIONAL, FULLY_DISCRETE])
 def test_stats_sum_every_fractional_solve(monkeypatch, mode):

@@ -66,6 +66,14 @@ class TestSincQuadrature:
         with pytest.raises(ValueError):
             sinc_quadrature(0.5, -1.0)
 
+    def test_nan_inputs_are_named(self):
+        # they used to fail with "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="k must be positive"):
+            sinc_quadrature(0.5, np.nan)
+        for h, c_k in ((np.nan, 1.1), (0.1, np.nan)):
+            with pytest.raises(ValueError, match="h and c_k"):
+                quadrature_for_mesh(0.5, h, c_k)
+
 
 class TestSolveOptions:
     def test_k_takes_no_c_k(self):

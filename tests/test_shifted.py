@@ -35,6 +35,30 @@ def plain_cg(A_apply, b, rtol, maxiter=10000):
     return x
 
 
+def combination(fam, weights):
+    """The combination matrix of an unweighted solve in family order (the
+    identity), or the one row of ``weights``."""
+    return np.eye(fam.n_shifts) if weights is None else \
+        np.asarray(weights, dtype=float)[None]
+
+
+def run_head(fam, n_max, tol_abs, weights=None, deflate=False):
+    """``_head`` with ``combination(fam, weights)``: the solved shifts' rows,
+    or their weighted sum."""
+    n_solved, n_basis, n_products, values, x_last = _head(
+        fam, n_max, tol_abs, combination(fam, weights), deflate)
+    values = values[:n_solved] if weights is None else values[0]
+    return n_solved, n_basis, n_products, values, x_last
+
+
+def run_tail(fam, start, rtol, weights=None, **kwargs):
+    """``solve_preconditioned`` with ``combination(fam, weights)``: the rows
+    of the shifts from ``start`` on, or their weighted sum."""
+    values, stats = solve_preconditioned(
+        fam, start, rtol, combination(fam, weights), **kwargs)
+    return (values[start:] if weights is None else values[0]), stats
+
+
 class TestNormalize:
     def test_identity_case(self):
         n = 6
@@ -245,6 +269,9 @@ class TestMultishift:
         ({"weights": np.ones(40)}, "weights"),
         ({"labels": np.arange(42)}, "labels"),
         ({"labels": list(range(40))}, "labels"),
+        # one NaN weight used to give an all-NaN result without a word
+        ({"weights": np.r_[np.ones(40), np.nan]}, "weights"),
+        ({"weights": np.r_[np.inf, np.ones(40)]}, "weights"),
     ])
     def test_rejects_invalid_inputs_by_name(self, kwargs, name):
         mesh = unit_square_mesh(8)
@@ -315,7 +342,7 @@ class TestActiveSetScan:
 
     def _head(self, fam, n_max, rtol, weights=None):
         tol_abs = rtol * np.linalg.norm(fam.rhs_scaled)
-        return _head(fam, n_max, tol_abs, weights)
+        return run_head(fam, n_max, tol_abs, weights)
 
     @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
     def test_matches_full_width_recurrences(self, s):
@@ -394,7 +421,7 @@ class TestSequentialPCG:
 
     def test_empty_range_is_noop(self):
         fam = self._family()
-        sols, stats = solve_preconditioned(fam, fam.n_shifts, 1e-8)
+        sols, stats = run_tail(fam, fam.n_shifts, 1e-8)
         assert sols.shape == (0, fam.n)
         assert stats.n_alg2 == 0
         assert stats.n_prec_setups == 0
@@ -404,12 +431,12 @@ class TestSequentialPCG:
         # cap 0: every system after one that iterated "exceeds" the cap and
         # rebuilds, on top of the initial setup
         monkeypatch.setattr(shifted, "_ITER_CAP", 0)
-        _, stats0 = solve_preconditioned(fam, fam.n_shifts - 12, 1e-10)
+        _, stats0 = run_tail(fam, fam.n_shifts - 12, 1e-10)
         iters = [stats0.iterations[l] for l in fam.labels[-12:]]
         assert stats0.n_prec_setups == 1 + sum(it > 0 for it in iters[:-1])
         # generous cap: only the initial setup
         monkeypatch.setattr(shifted, "_ITER_CAP", 500)
-        _, stats1 = solve_preconditioned(fam, fam.n_shifts - 12, 1e-10)
+        _, stats1 = run_tail(fam, fam.n_shifts - 12, 1e-10)
         assert stats1.n_prec_setups == 1
 
     def test_exact_preconditioner_single_iteration(self, monkeypatch):
@@ -423,7 +450,7 @@ class TestSequentialPCG:
         # cap 0 rebuilds for every shift; symmetric Gauss-Seidel on a diagonal
         # matrix is exact
         monkeypatch.setattr(shifted, "_ITER_CAP", 0)
-        sols, stats = solve_preconditioned(fam, 0, 1e-12)
+        sols, stats = run_tail(fam, 0, 1e-12)
         assert all(v <= 1 for v in stats.iterations.values())
         for x, alpha in zip(sols, fam.shifts):
             np.testing.assert_allclose(fam.unnormalize(x),
@@ -462,7 +489,7 @@ def traced_solve(monkeypatch, fam, start, rtol, **kwargs):
 
     monkeypatch.setattr(fam, "apply_scaled", counted_apply)
     monkeypatch.setattr(shifted._History, "start", counted_start)
-    result = solve_preconditioned(fam, start, rtol, **kwargs)
+    result = run_tail(fam, start, rtol, **kwargs)
     return result, matvecs[0], starts[0]
 
 
@@ -483,7 +510,7 @@ class TestCarriedResidual:
 
     def test_true_residual_of_every_row(self):
         fam, _ = self._family()
-        sols, stats = solve_preconditioned(fam, self.START, self.RTOL)
+        sols, stats = run_tail(fam, self.START, self.RTOL)
         iters = np.array([stats.iterations[l]
                           for l in fam.labels[self.START:]])
         # the tail mixes iterating systems with systems whose warm start
@@ -501,7 +528,7 @@ class TestCarriedResidual:
         # so a start that kept its combined residual instead of computing
         # the true one left rows at 7e-3 and 31 relative
         fam, _ = self._family(m, s)
-        sols, _ = solve_preconditioned(fam, 0, self.RTOL)
+        sols, _ = run_tail(fam, 0, self.RTOL)
         b = fam.rhs_scaled
         for x, sigma in zip(sols, fam.shifts_scaled):
             r = b - fam.apply_scaled(x) - sigma * x
@@ -555,8 +582,8 @@ class TestCarriedResidual:
 
     def test_weighted_equals_weighted_rows(self):
         fam, w = self._family()
-        rows, _ = solve_preconditioned(fam, self.START, self.RTOL)
-        combined, _ = solve_preconditioned(fam, self.START, self.RTOL,
+        rows, _ = run_tail(fam, self.START, self.RTOL)
+        combined, _ = run_tail(fam, self.START, self.RTOL,
                                            weights=w)
         expected = w[self.START:] @ rows
         assert np.linalg.norm(combined - expected) <= \
@@ -569,9 +596,9 @@ class TestCarriedResidual:
         fam, w = self._family()
         start = int(np.argmax(fam.shifts_scaled < 0.1))
         x_start = fam.rhs_scaled / (1.0 + fam.shifts_scaled[start])
-        rows, stats = solve_preconditioned(fam, start, self.RTOL,
+        rows, stats = run_tail(fam, start, self.RTOL,
                                            x_start=x_start)
-        combined, _ = solve_preconditioned(fam, start, self.RTOL,
+        combined, _ = run_tail(fam, start, self.RTOL,
                                            x_start=x_start, weights=w)
         iters = np.array(list(stats.iterations.values()))
         assert start > 0
@@ -596,7 +623,7 @@ class TestCarriedResidual:
             return x, r, iters, converged
 
         monkeypatch.setattr(shifted, "_pcg", recorded_pcg)
-        sols, _ = solve_preconditioned(fam, 0, self.RTOL)
+        sols, _ = run_tail(fam, 0, self.RTOL)
         sig = fam.shifts_scaled
         ran = {int(np.argmin(np.abs(np.log(sig / s)))): run
                for run in runs for s in [run[2]]}
@@ -635,7 +662,7 @@ class TestCarriedResidual:
             return x
 
         monkeypatch.setattr(shifted._History, "start", compared_start)
-        solve_preconditioned(fam, 0, self.RTOL)
+        run_tail(fam, 0, self.RTOL)
         assert len(ratios) > 10
         assert max(ratios) <= 2.0
 
@@ -680,6 +707,38 @@ class TestStats:
         combined, _ = solve_family(ops.stiffness, ops.lumped_mass, shifts, Z,
                                    rtol=1e-11, n_max=1, weights=w)
         np.testing.assert_allclose(combined, w @ sols, rtol=1e-9, atol=1e-13)
+
+
+class TestCallerOrder:
+    """Shifts in any order: the rows come back in the caller's order and the
+    statistics under the caller's labels."""
+
+    @pytest.mark.parametrize("kwargs", [{}, {"n_max": 20}, {"deflate": True}],
+                             ids=["head", "tail", "deflated"])
+    def test_random_permutation_of_the_shifts(self, kwargs):
+        mesh = unit_square_mesh(16)
+        ops = operators(mesh)
+        quad = sinc_quadrature(0.5, 0.4)
+        Z = assemble_rhs(mesh)
+        perm = np.random.default_rng(7).permutation(quad.n_systems)
+        shifts, labels, w = quad.shifts[perm], quad.l[perm], \
+            quad.weights[perm]
+
+        def solve(shifts, labels, weights=None):
+            return solve_family(ops.stiffness, ops.lumped_mass, shifts, Z,
+                                labels=labels, weights=weights, **kwargs)
+
+        rows, stats = solve(quad.shifts, quad.l)
+        got, got_stats = solve(shifts, labels)
+        assert (got_stats.n_alg2 > 0) == ("n_max" in kwargs)
+        want = rows[perm]
+        assert np.all(np.linalg.norm(got - want, axis=1)
+                      <= 1e-13 * np.linalg.norm(want, axis=1))
+        u, _ = solve(shifts, labels, w)
+        assert np.linalg.norm(u - w @ got) <= 1e-12 * np.linalg.norm(w @ got)
+        assert set(got_stats.iterations) == set(labels)
+        assert got_stats.iterations == stats.iterations
+        assert got_stats.crossover == stats.crossover
 
 
 def jittered_square(path, m):
@@ -738,7 +797,7 @@ class TestDeflatedHead:
 
     def _head(self, fam, n_max=shifted._SCAN_MAX, weights=None):
         tol_abs = self.RTOL * np.linalg.norm(fam.rhs_scaled)
-        return _head(fam, n_max, tol_abs, weights, deflate=True)
+        return run_head(fam, n_max, tol_abs, weights, deflate=True)
 
     def _assert_rows_meet_rtol(self, fam, rows):
         b = fam.rhs_scaled

@@ -1,5 +1,7 @@
 """The package's public surface: the names it exports, the parameters its
-entry points take, and the module attributes the benchmark's tracer wraps."""
+entry points take, the fields of its configuration classes, and the module
+attributes the benchmark's tracer wraps.  A new knob shows up here as a test
+edit."""
 
 import dataclasses
 import importlib
@@ -29,6 +31,57 @@ PUBLIC = [
 ]
 
 
+# parameter names of every public function, in order
+PARAMETERS = {
+    "assemble_load": ["mesh", "f"],
+    "assemble_mass": ["mesh"],
+    "assemble_stiffness": ["mesh"],
+    "cell_parents": ["coarse", "fine"],
+    "compute_rates": ["errors", "hs"],
+    "eval_p1": ["mesh", "vertex_values", "points"],
+    "fractional_solve": ["mesh", "s", "rhs", "options"],
+    "h1_seminorm": ["v"],
+    "hat_rhs": ["mesh"],
+    "hs_error_surrogate": ["e_l2", "e_h1", "s"],
+    "interpolate": ["mesh", "f"],
+    "l2_inner": ["u", "v"],
+    "l2_norm": ["v"],
+    "lump_mass": ["M"],
+    "objective": ["problem", "z"],
+    "post_process": ["problem", "solution"],
+    "project_box": ["values", "lower", "upper"],
+    "project_p0": ["mesh", "v"],
+    "prolongation_matrix": ["coarse", "fine"],
+    "quadrature_for_mesh": ["s", "h", "c_k"],
+    "read_mesh": ["path"],
+    "reduced_gradient": ["problem", "z"],
+    "refine_uniform": ["mesh"],
+    "run_control_convergence": ["config"],
+    "run_solver_stats": ["config"],
+    "run_state_convergence": ["config"],
+    "sinc_quadrature": ["s", "k"],
+    "solve_all_shifted": ["mesh", "s", "rhs", "options"],
+    "solve_family": ["A", "lumped_mass", "shifts", "Z", "labels", "rtol",
+                     "n_max", "prec_factory", "weights", "deflate"],
+    "solve_fully_discrete": ["problem", "tol", "z0"],
+    "solve_variational": ["problem", "tol", "z0"],
+    "spectral_oracle_solve": ["mesh", "s", "rhs"],
+    "unit_cube_mesh": ["cells_per_side"],
+    "unit_square_mesh": ["cells_per_side"],
+    "write_mesh": ["mesh", "path"],
+}
+
+# fields of the configuration classes, in order
+FIELDS = {
+    "SolveOptions": ["c_k", "k", "rtol", "n_max", "deflate"],
+    "ExperimentConfig": ["dim", "s_values", "levels", "ref_level", "mu",
+                         "lower", "upper", "c_k", "rtol", "opt_tol",
+                         "out_dir", "threads"],
+    "ControlProblem": ["mesh", "s", "mu", "lower", "upper", "desired",
+                       "mode", "options"],
+}
+
+
 def test_top_level_names_are_pinned():
     # the submodules are attributes too, but not names the package exports
     names = sorted(name for name in dir(fraclap) if not name.startswith("_")
@@ -47,15 +100,29 @@ def test_solver_internals_live_in_their_modules(module, name):
     assert callable(getattr(module, name))
 
 
+def test_function_parameters_are_pinned():
+    functions = {name for name in PUBLIC
+                 if inspect.isfunction(getattr(fraclap, name))}
+    assert functions == PARAMETERS.keys()
+    for name, params in PARAMETERS.items():
+        assert list(inspect.signature(getattr(fraclap, name)).parameters) \
+            == params, name
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_configuration_fields_are_pinned(name):
+    fields = dataclasses.fields(getattr(fraclap, name))
+    assert [f.name for f in fields] == FIELDS[name]
+
+
 def test_shifted_exports_only_its_entry_point():
     assert shifted.__all__ == ["SolveStats", "solve_family"]
 
 
 def test_no_unused_parameters():
-    assert "iter_cap" not in \
-        inspect.signature(shifted.solve_preconditioned).parameters
-    for maker in (mesh.unit_square_mesh, mesh.unit_cube_mesh):
-        assert list(inspect.signature(maker).parameters) == ["cells_per_side"]
+    # the tail takes the family's combination matrix, not a weight knob
+    assert list(inspect.signature(shifted.solve_preconditioned).parameters) \
+        == ["family", "start", "rtol", "W", "prec_factory", "x_start"]
     assert "level" not in {f.name for f in dataclasses.fields(mesh.Mesh)}
 
 
