@@ -16,7 +16,6 @@ import sys
 
 from . import control as ctl
 from . import harness
-from .fractional import fractional_solve
 from .mesh import _grid_mesh, write_mesh
 
 
@@ -55,25 +54,26 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected one of 1/true/yes/on or 0/false/no/off")
 
 
-# parser and default of every flag; None leaves a study setting to
-# ``ExperimentConfig``, whose defaults are the state study's
-_COMMON = {
-    "dim": (int, None),
-    "s": (_parse_s_list, None),
-    "levels": (_parse_levels, None),
-    "ref_level": (int, None),
-    "mu": (float, None),
-    "a": (float, None),
-    "b": (float, None),
-    "ck": (float, None),
-    "rtol": (float, None),
-    "tol": (float, None),
-    "mode": (str, None),
-    "post_process": (_parse_bool, False),
-    "out": (str, None),
-    "threads": (int, None),
-    "config": (str, None),
-    "level": (int, 4),
+# parser, ``ExperimentConfig`` field (None for a flag only ``solve`` or the
+# config file reads) and default of every flag; a None default leaves a
+# study setting to ``ExperimentConfig``, whose defaults are the state study's
+_FLAGS = {
+    "dim": (int, "dim", None),
+    "s": (_parse_s_list, "s_values", None),
+    "levels": (_parse_levels, "levels", None),
+    "ref_level": (int, "ref_level", None),
+    "mu": (float, "mu", None),
+    "a": (float, "lower", None),
+    "b": (float, "upper", None),
+    "ck": (float, "c_k", None),
+    "rtol": (float, "rtol", None),
+    "tol": (float, "opt_tol", None),
+    "mode": (str, None, None),
+    "post_process": (_parse_bool, None, False),
+    "out": (str, "out_dir", None),
+    "threads": (int, "threads", None),
+    "config": (str, None, None),
+    "level": (int, None, 4),
 }
 
 # the study settings in which a command departs from ``ExperimentConfig``
@@ -85,27 +85,18 @@ _DEFAULTS = {
     "solve": {"s": (0.5,)},
 }
 
-# the ``ExperimentConfig`` field of every study flag
-_FIELDS = {"dim": "dim", "s": "s_values", "levels": "levels",
-           "ref_level": "ref_level", "mu": "mu", "a": "lower", "b": "upper",
-           "ck": "c_k", "rtol": "rtol", "tol": "opt_tol", "out": "out_dir",
-           "threads": "threads"}
-
 
 def _add_flags(parser: argparse.ArgumentParser, names):
     for name in names:
-        parse, _ = _COMMON[name]
-        flag = "--" + name.replace("_", "-")
-        if parse is _parse_bool:
-            parser.add_argument(flag, action="store_const", const=True,
-                                default=None, dest=name)
-        else:
-            parser.add_argument(flag, type=str, default=None, dest=name)
+        # a boolean flag stores True; every other flag keeps its text
+        kind = ({"action": "store_const", "const": True}
+                if _FLAGS[name][0] is _parse_bool else {})
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, **kind)
 
 
 def _resolve(args: argparse.Namespace, command: str, names) -> dict:
-    """Every ``_COMMON`` value, and under ``"given"`` the names that a flag
-    or the config file set."""
+    """The value of every ``_FLAGS`` name, from the flag, else the config
+    file, else the command's default."""
     file_vals = {}
     if args.config:
         file_vals = read_config_file(args.config)
@@ -115,62 +106,57 @@ def _resolve(args: argparse.Namespace, command: str, names) -> dict:
         if unknown:
             raise ValueError(f"{command} does not take config key(s): "
                              + ", ".join(unknown))
-    out = {"given": {name for name in _COMMON if name in file_vals
-                     or getattr(args, name, None) is not None}}
-    for name, (parse, default) in _COMMON.items():
+    out = {}
+    for name, (parse, _, default) in _FLAGS.items():
         raw = getattr(args, name, None)
         if raw is None and name in file_vals:
             raw = file_vals[name]
         if raw is None:
-            value = _DEFAULTS[command].get(name, default)
+            out[name] = _DEFAULTS[command].get(name, default)
         elif raw is True:               # a boolean flag
-            value = raw
+            out[name] = raw
         else:
             try:
-                value = parse(raw)
+                out[name] = parse(raw)
             except ValueError as exc:
                 raise ValueError(f"{name} = {raw!r} does not parse: {exc}") \
                     from None
-        out[name] = value
     return out
 
 
 def _experiment_config(vals: dict) -> harness.ExperimentConfig:
     return harness.ExperimentConfig(**{
-        field: vals[name] for name, field in _FIELDS.items()
-        if vals[name] is not None})
+        field: vals[name] for name, (_, field, _) in _FLAGS.items()
+        if field is not None and vals[name] is not None})
 
 
-def _cmd_state_conv(vals: dict) -> int:
+def _cmd_state_conv(vals: dict):
     tables = harness.run_state_convergence(_experiment_config(vals))
     for s, table in tables.items():
         print(f"# s = {s}")
         print(table.to_csv(), end="")
-    return 0
 
 
-def _cmd_control_conv(vals: dict) -> int:
+def _cmd_control_conv(vals: dict):
     tables = harness.run_control_convergence(_experiment_config(vals))
     for s, per_series in tables.items():
         for name, table in per_series.items():
             print(f"# s = {s}, series = {name}")
             print(table.to_csv(), end="")
-    return 0
 
 
-def _cmd_solver_stats(vals: dict) -> int:
+def _cmd_solver_stats(vals: dict):
     print(harness.run_solver_stats(_experiment_config(vals)), end="")
-    return 0
 
 
-def _cmd_solve(vals: dict) -> int:
+def _cmd_solve(vals: dict):
     if len(vals["s"]) != 1:
         raise ValueError("solve takes a single value of --s")
     if vals["post_process"] and vals["mode"] != ctl.FULLY_DISCRETE:
         raise ValueError("--post-process needs --mode p0")
     if vals["mode"] is None:
         for name in ("mu", "a", "b", "tol"):
-            if name in vals["given"]:
+            if vals[name] is not None:
                 raise ValueError(f"--{name} needs --mode")
     config = _experiment_config(vals)   # rejects a dim other than 2 or 3
     m = 2 ** vals["level"]
@@ -180,8 +166,7 @@ def _cmd_solve(vals: dict) -> int:
                "n_vertices": mesh.n_vertices, "h": mesh.h}
 
     if vals["mode"] is None:
-        res = fractional_solve(mesh, s, harness.hat_rhs(mesh),
-                               config.solve_options())
+        res = harness._state_solution(mesh, s, config)
         vectors = {"state_u.txt": res.u.values}
         summary.update({
             "kind": "state", "n_systems": res.quadrature.n_systems,
@@ -190,11 +175,8 @@ def _cmd_solve(vals: dict) -> int:
             "n_matvec": res.stats.n_matvec,
         })
     else:
-        problem = harness._control_problem(config, mesh, s, vals["mode"])
-        if vals["mode"] == ctl.VARIATIONAL:
-            sol = ctl.solve_variational(problem, tol=config.opt_tol)
-        else:
-            sol = ctl.solve_fully_discrete(problem, tol=config.opt_tol)
+        problem, sol = harness._control_solution(config, mesh, s,
+                                                 vals["mode"])
         vectors = {"control_z.txt": sol.control.values,
                    "state_u.txt": sol.state.values,
                    "adjoint_p.txt": sol.adjoint.values}
@@ -220,7 +202,25 @@ def _cmd_solve(vals: dict) -> int:
     text = json.dumps(summary, indent=2, sort_keys=True)
     harness._write(out_dir, "summary.json", text + "\n")
     print(text)
-    return 0
+
+
+# the runner and the flags of every command
+_COMMANDS = {
+    "state-conv": (_cmd_state_conv,
+                   ["dim", "s", "levels", "ref_level", "ck", "rtol", "out",
+                    "threads", "config"]),
+    # the control study always reports the post-processed control and runs
+    # its solves in sequence
+    "control-conv": (_cmd_control_conv,
+                     ["dim", "s", "levels", "ref_level", "mu", "a", "b",
+                      "ck", "rtol", "tol", "out", "config"]),
+    "solver-stats": (_cmd_solver_stats,
+                     ["dim", "s", "levels", "ck", "rtol", "out", "threads",
+                      "config"]),
+    "solve": (_cmd_solve,
+              ["dim", "s", "level", "mu", "a", "b", "ck", "rtol", "tol",
+               "mode", "post_process", "out", "config"]),
+}
 
 
 def main(argv=None) -> int:
@@ -228,35 +228,17 @@ def main(argv=None) -> int:
         prog="fraclap",
         description="Spectral fractional Poisson solves and optimal control")
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = {
-        "state-conv": ["dim", "s", "levels", "ref_level", "ck", "rtol",
-                       "out", "threads", "config"],
-        # the control study always reports the post-processed control and
-        # runs its solves in sequence
-        "control-conv": ["dim", "s", "levels", "ref_level", "mu", "a", "b",
-                         "ck", "rtol", "tol", "out", "config"],
-        "solver-stats": ["dim", "s", "levels", "ck", "rtol", "out",
-                         "threads", "config"],
-        "solve": ["dim", "s", "level", "mu", "a", "b", "ck", "rtol", "tol",
-                  "mode", "post_process", "out", "config"],
-    }
-    runners = {
-        "state-conv": _cmd_state_conv,
-        "control-conv": _cmd_control_conv,
-        "solver-stats": _cmd_solver_stats,
-        "solve": _cmd_solve,
-    }
-    for command, names in flags.items():
-        p = sub.add_parser(command)
-        _add_flags(p, names)
+    for command, (_, names) in _COMMANDS.items():
+        _add_flags(sub.add_parser(command), names)
 
     args = parser.parse_args(argv)
+    run, names = _COMMANDS[args.command]
     try:
-        vals = _resolve(args, args.command, flags[args.command])
-        return runners[args.command](vals)
+        run(_resolve(args, args.command, names))
     except Exception as exc:                      # noqa: BLE001
         print(f"fraclap: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

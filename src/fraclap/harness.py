@@ -5,6 +5,11 @@ meaning ``2**j`` cells per side.  Errors are always measured on the
 reference mesh after prolongation (exact for nested P1 spaces; cellwise for
 P0 controls), and rate tables report log2 error ratios between successive
 levels.
+
+Reference solutions are cached under ``<out_dir>/cache/``, keyed by file name
+on every setting they depend on, for the control reference also the level
+its warm-start chain starts from.  A cached file that is unreadable, holds a
+non-finite value or has another length is recomputed.
 """
 
 from __future__ import annotations
@@ -193,15 +198,16 @@ def _cache_path(out_dir: str | None, name: str):
 
 
 def _load_vector(path, n: int):
-    """Cached vector of length ``n``; None if missing, unreadable or of
-    another length (a file cut short or written for another mesh)."""
+    """Cached vector of length ``n``; None if missing, unreadable,
+    non-finite or of another length (a file cut short or written for
+    another mesh)."""
     if path is None or not os.path.exists(path):
         return None
     try:
         vec = np.loadtxt(path, ndmin=1)
     except ValueError:
         return None
-    return vec if vec.shape == (n,) else None
+    return vec if vec.shape == (n,) and np.isfinite(vec).all() else None
 
 
 def _save_vector(path, vec: np.ndarray):
@@ -211,12 +217,20 @@ def _save_vector(path, vec: np.ndarray):
         np.savetxt(tmp, vec, fmt="%.17g")
 
 
-def _cached_vector(path, n: int, compute):
-    vec = _load_vector(path, n)
-    if vec is None:
-        vec = compute()
-        _save_vector(path, vec)
-    return vec
+def _cached(paths, n: int, compute) -> list:
+    """The vectors of length ``n`` cached at ``paths``; when any of them
+    does not load, every one of ``compute()``'s, saved there."""
+    vecs = [_load_vector(path, n) for path in paths]
+    if any(vec is None for vec in vecs):
+        vecs = list(compute())
+        for path, vec in zip(paths, vecs):
+            _save_vector(path, vec)
+    return vecs
+
+
+def _write_table(out_dir: str | None, stem: str, table: RateTable):
+    _write(out_dir, f"{stem}.csv", table.to_csv())
+    _write(out_dir, f"{stem}.dat", table.to_gnuplot())
 
 
 def _state_solution(mesh: Mesh, s: float, config: ExperimentConfig):
@@ -233,16 +247,24 @@ def _run_jobs(threads: int, fn, jobs) -> dict:
     return dict(map(fn, jobs))
 
 
+def _study_sizes(config: ExperimentConfig) -> list:
+    """Cells per side of every study level; a study with no level or no
+    value of s is rejected rather than run to an empty result."""
+    if not config.levels:
+        raise ValueError("a study needs at least one level")
+    if not config.s_values:
+        raise ValueError("a study needs at least one value of s")
+    return [2 ** lv for lv in config.levels]
+
+
 def _reference_study(config: ExperimentConfig):
     """``(ms, m_ref, meshes, lift, ref_mesh, ref_ops)`` of a study measured
     against a reference solve: the study and reference sizes, the meshes of
     every level from the coarsest up to the reference, a ``_Prolongator``
     over them, and the reference mesh with its operators."""
-    if not config.levels:
-        raise ValueError("a study needs at least one level")
+    ms = _study_sizes(config)
     if config.ref_level <= max(config.levels):
         raise ValueError("the reference level must exceed every study level")
-    ms = [2 ** lv for lv in config.levels]
     m_ref = 2 ** config.ref_level
     meshes = {2 ** lv: _grid_mesh(config.dim, 2 ** lv)
               for lv in range(min(config.levels), config.ref_level + 1)}
@@ -264,32 +286,30 @@ def run_state_convergence(config: ExperimentConfig) -> dict:
 
     jobs = [(s, m) for s in config.s_values for m in ms]
     results = _run_jobs(config.threads, solve_level, jobs)
+    n_omegas = [meshes[m].n_vertices for m in ms]
+    hs = [meshes[m].h for m in ms]
 
     tables = {}
     for s in config.s_values:
         path = _cache_path(config.out_dir,
                            f"state_ref_dim{config.dim}_m{m_ref}_s{s}"
                            f"_ck{config.c_k}_rtol{config.rtol}.txt")
-        u_ref = _cached_vector(
-            path, ref_mesh.n_interior,
-            lambda: _state_solution(ref_mesh, s, config).u.values)
-        errors, hs, n_omegas = [], [], []
+        (u_ref,) = _cached(
+            [path], ref_mesh.n_interior,
+            lambda: [_state_solution(ref_mesh, s, config).u.values])
+        errors = []
         for m in ms:
             diff = u_ref - lift.lift(results[(s, m)], m, m_ref)
-            err = math.sqrt(max(diff @ (ref_ops.mass @ diff), 0.0))
-            errors.append(err)
-            hs.append(meshes[m].h)
-            n_omegas.append(meshes[m].n_vertices)
+            errors.append(math.sqrt(max(diff @ (ref_ops.mass @ diff), 0.0)))
         table = RateTable.from_errors(f"state_L2_s{s}", n_omegas, hs, errors)
         tables[s] = table
-        _write(config.out_dir, f"state_conv_s{s}.csv", table.to_csv())
-        _write(config.out_dir, f"state_conv_s{s}.dat", table.to_gnuplot())
+        _write_table(config.out_dir, f"state_conv_s{s}", table)
     return tables
 
 
 def run_solver_stats(config: ExperimentConfig) -> str:
     """Per-level solver statistics in CSV form (also returned as text)."""
-    ms = [2 ** lv for lv in config.levels]
+    ms = _study_sizes(config)
 
     def solve_one(args):
         s, m = args
@@ -315,44 +335,40 @@ def _quad_l2(mesh: Mesh, w: np.ndarray, diff_at_quad: np.ndarray) -> float:
     return math.sqrt(float(mesh.volumes @ ((diff_at_quad ** 2) @ w)))
 
 
-def _control_problem(config: ExperimentConfig, mesh: Mesh, s: float,
-                     mode: str) -> ControlProblem:
-    """The control study's problem on ``mesh``: the eigenfunction target
-    with the config's penalty, bounds and solve options."""
-    return ControlProblem(
+def _control_solution(config: ExperimentConfig, mesh: Mesh, s: float,
+                      mode: str, z0=None):
+    """``(problem, solution)`` of the control study's problem on ``mesh``:
+    the eigenfunction target with the config's penalty, bounds and solve
+    options, solved in ``mode`` from ``z0``."""
+    problem = ControlProblem(
         mesh=mesh, s=s, mu=config.mu, lower=config.lower, upper=config.upper,
         desired=fem.interpolate(mesh, eigen_desired), mode=mode,
         options=config.solve_options())
+    solve = solve_variational if mode == VARIATIONAL else solve_fully_discrete
+    return problem, solve(problem, tol=config.opt_tol, z0=z0)
 
 
 def _control_reference(config: ExperimentConfig, s: float, meshes, lift):
-    """Variational reference solution, warm-started through coarser levels."""
+    """Variational reference ``(z, u, p)``, warm-started through the levels
+    from the finest study level up."""
     m_ref = 2 ** config.ref_level
     start = 2 ** max(config.levels)
-
     cache_base = (f"dim{config.dim}_m{m_ref}_s{s}_mu{config.mu}"
                   f"_a{config.lower}_b{config.upper}_ck{config.c_k}"
-                  f"_rtol{config.rtol}_tol{config.opt_tol}")
+                  f"_start{start}_rtol{config.rtol}_tol{config.opt_tol}")
     paths = [_cache_path(config.out_dir, f"control_ref_{name}_{cache_base}.txt")
              for name in ("control", "state", "adjoint")]
-    n = meshes[m_ref].n_interior
-    cached = [_load_vector(path, n) for path in paths]
-    if all(vec is not None for vec in cached):
-        return tuple(cached)
 
-    z0 = None
-    m = start
-    sol = None
-    while m <= m_ref:
-        problem = _control_problem(config, meshes[m], s, VARIATIONAL)
-        sol = solve_variational(problem, tol=config.opt_tol, z0=z0)
-        if m < m_ref:
-            z0 = lift.lift(sol.control.values, m, 2 * m)
-        m *= 2
-    z, u, p = sol.control.values, sol.state.values, sol.adjoint.values
-    for path, vec in zip(paths, (z, u, p)):
-        _save_vector(path, vec)
-    return z, u, p
+    def solve_chain():
+        z0 = None
+        m = start
+        while m <= m_ref:
+            _, sol = _control_solution(config, meshes[m], s, VARIATIONAL, z0)
+            z0 = lift.lift(sol.control.values, m, 2 * m) if m < m_ref else None
+            m *= 2
+        return sol.control.values, sol.state.values, sol.adjoint.values
+
+    return _cached(paths, meshes[m_ref].n_interior, solve_chain)
 
 
 def eigen_desired(points: np.ndarray) -> np.ndarray:
@@ -376,6 +392,8 @@ def run_control_convergence(config: ExperimentConfig) -> dict:
                          f"threads must be 1, got {config.threads}")
     ms, m_ref, meshes, lift, ref_mesh, ref_ops = _reference_study(config)
     lam, w = fem.simplex_quadrature(config.dim, degree=4)
+    n_omegas = [meshes[m].n_vertices for m in ms]
+    hs = [meshes[m].h for m in ms]
 
     def clamped_at_quadrature(p_ref_values):
         """clamp(-p/mu) at the reference quadrature points of a P1 adjoint."""
@@ -391,15 +409,10 @@ def run_control_convergence(config: ExperimentConfig) -> dict:
         series = {name: [] for name in
                   ("control_p0", "control_pp", "control_var",
                    "state_L2", "state_Hs")}
-        hs, n_omegas = [], []
         for m in ms:
             mesh = meshes[m]
-            p0_sol = solve_fully_discrete(
-                _control_problem(config, mesh, s, FULLY_DISCRETE),
-                tol=config.opt_tol)
-            var_sol = solve_variational(
-                _control_problem(config, mesh, s, VARIATIONAL),
-                tol=config.opt_tol)
+            _, p0_sol = _control_solution(config, mesh, s, FULLY_DISCRETE)
+            _, var_sol = _control_solution(config, mesh, s, VARIATIONAL)
 
             parents = cell_parents(mesh, ref_mesh)
             z_p0_quad = p0_sol.control.values[parents][:, None]
@@ -426,15 +439,10 @@ def run_control_convergence(config: ExperimentConfig) -> dict:
             series["control_var"].append(err_var)
             series["state_L2"].append(e_l2)
             series["state_Hs"].append(hs_error_surrogate(e_l2, e_h1, s))
-            hs.append(mesh.h)
-            n_omegas.append(mesh.n_vertices)
 
         tables[s] = {}
         for name, errs in series.items():
             table = RateTable.from_errors(f"{name}_s{s}", n_omegas, hs, errs)
             tables[s][name] = table
-            _write(config.out_dir, f"control_conv_{name}_s{s}.csv",
-                   table.to_csv())
-            _write(config.out_dir, f"control_conv_{name}_s{s}.dat",
-                   table.to_gnuplot())
+            _write_table(config.out_dir, f"control_conv_{name}_s{s}", table)
     return tables

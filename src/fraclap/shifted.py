@@ -691,8 +691,9 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     The leading (large) shifts are solved in one Lanczos basis of at most
     ``n_max`` vectors (of which at most ``_STORED_MAX`` are kept in
     memory), the rest by ``solve_preconditioned`` warm-started from the
-    last multishift solution.  ``labels`` and ``weights``, when given, have
-    one entry per shift.  Both parts compute ``W @ [V^1; ...; V^S]`` for
+    last multishift solution.  ``shifts`` is non-empty; ``labels`` (distinct,
+    they key ``stats.iterations``) and ``weights``, when given, have one
+    entry per shift.  Both parts compute ``W @ [V^1; ...; V^S]`` for
     one combination matrix ``W`` (columns in family order): the identity in
     the caller's shift order, whose rows are the returned solution stack,
     or the one row of ``weights``, whose ``sum_l w_l V^l`` is returned
@@ -708,12 +709,15 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
     shifts = np.asarray(shifts, dtype=float)
-    if shifts.ndim != 1:
-        raise ValueError(f"shifts must be 1-D, got shape {shifts.shape}")
+    if shifts.ndim != 1 or shifts.size == 0:
+        raise ValueError(f"shifts must be 1-D and non-empty, got shape "
+                         f"{shifts.shape}")
     for name, value in (("labels", labels), ("weights", weights)):
         if value is not None and np.shape(value) != shifts.shape:
             raise ValueError(f"{name} must have one entry per shift: shape "
                              f"{np.shape(value)}, shifts {shifts.shape}")
+    if labels is not None and np.unique(labels).size < shifts.size:
+        raise ValueError("labels must be distinct: each names one system")
     order = np.argsort(-shifts, kind="stable")     # family order
     W, pick = (np.eye(shifts.size)[:, order], slice(None)) if weights is None \
         else (np.asarray(weights, dtype=float)[None, order], 0)

@@ -170,6 +170,20 @@ def test_study_levels_are_checked(tmp_path, run, levels, message):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("run", [run_state_convergence,
+                                 run_control_convergence, run_solver_stats])
+@pytest.mark.parametrize("empty,message", [
+    ("s_values", "at least one value of s"), ("levels", "at least one level")])
+def test_empty_studies_are_rejected(tmp_path, run, empty, message):
+    # such a study used to return nothing, or a header-only table
+    cfg = ExperimentConfig(**{"s_values": (0.5,), "levels": (2,),
+                              "ref_level": 3, "out_dir": str(tmp_path),
+                              empty: ()})
+    with pytest.raises(ValueError, match=message):
+        run(cfg)
+    assert not any(tmp_path.iterdir())
+
+
 class TestReferenceCache:
     def test_changed_tolerance_misses_control_cache(self, tmp_path,
                                                     monkeypatch):
@@ -183,10 +197,10 @@ class TestReferenceCache:
 
         monkeypatch.setattr(fraclap.harness, "solve_variational", counting)
 
-        def reference_solves(**overrides):
+        def reference_solves(levels=(2, 3), **overrides):
             ref_solves.clear()
             run_control_convergence(ExperimentConfig(
-                s_values=(0.5,), levels=(2, 3), ref_level=4,
+                s_values=(0.5,), levels=levels, ref_level=4,
                 out_dir=str(tmp_path), **overrides))
             return len(ref_solves)
 
@@ -200,6 +214,10 @@ class TestReferenceCache:
         path.write_text("".join(path.read_text().splitlines(True)[:10]))
         assert reference_solves() == 1
         assert reference_solves() == 0
+        # the warm-start chain begins at the finest study level, so the
+        # reference moves with it within opt_tol
+        assert reference_solves(levels=(2,)) == 1
+        assert reference_solves(levels=(2,)) == 0
 
     def test_truncated_state_reference_is_recomputed(self, tmp_path):
         cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3), ref_level=4,
@@ -213,6 +231,19 @@ class TestReferenceCache:
         assert (tmp_path / "state_conv_s0.5.csv").read_text() == csv
         assert path.read_text().splitlines(True) == lines
         assert not list((tmp_path / "cache").glob("*.tmp"))
+
+    def test_non_finite_state_reference_is_recomputed(self, tmp_path):
+        # such a file used to load as a valid reference of the right length
+        cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3), ref_level=4,
+                               out_dir=str(tmp_path))
+        run_state_convergence(cfg)
+        csv = (tmp_path / "state_conv_s0.5.csv").read_text()
+        (path,) = (tmp_path / "cache").glob("state_ref_*.txt")
+        lines = path.read_text().splitlines(True)
+        path.write_text("".join(["nan\n", "inf\n"] + lines[2:]))
+        run_state_convergence(cfg)
+        assert (tmp_path / "state_conv_s0.5.csv").read_text() == csv
+        assert path.read_text().splitlines(True) == lines
 
 
 def test_interrupted_write_keeps_the_previous_file(tmp_path, monkeypatch):

@@ -272,14 +272,19 @@ class TestMultishift:
         # one NaN weight used to give an all-NaN result without a word
         ({"weights": np.r_[np.ones(40), np.nan]}, "weights"),
         ({"weights": np.r_[np.inf, np.ones(40)]}, "weights"),
+        # these used to fail with an IndexError from the empty family
+        ({"shifts": np.array([])}, "shifts"),
+        ({"shifts": np.array([]), "weights": np.array([])}, "shifts"),
+        # a repeated label used to merge two systems' iteration counts
+        ({"labels": np.r_[0, np.arange(40)]}, "labels"),
     ])
     def test_rejects_invalid_inputs_by_name(self, kwargs, name):
         mesh = unit_square_mesh(8)
         ops = operators(mesh)
-        quad = sinc_quadrature(0.5, 0.5)
+        kwargs = {"shifts": sinc_quadrature(0.5, 0.5).shifts, **kwargs}
         with pytest.raises(ValueError, match=name):
-            solve_family(ops.stiffness, ops.lumped_mass, quad.shifts,
-                         assemble_rhs(mesh), **kwargs)
+            solve_family(ops.stiffness, ops.lumped_mass,
+                         Z=assemble_rhs(mesh), **kwargs)
 
     def test_zero_rhs(self):
         mesh = unit_square_mesh(4)

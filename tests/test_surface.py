@@ -131,6 +131,16 @@ def test_cli_defaults_hold_no_placeholders():
     assert cli._DEFAULTS["solve"].keys() == {"s"}
 
 
+def test_cli_flags_set_every_config_field_once():
+    # a config field without a flag, or a flag that sets no field, fails here
+    fields = [field for _, field, _ in cli._FLAGS.values() if field]
+    config = [f.name for f in dataclasses.fields(fraclap.ExperimentConfig)]
+    assert len(config) == 12
+    assert sorted(fields) == sorted(config)
+    for command, (_, names) in cli._COMMANDS.items():
+        assert set(names) <= cli._FLAGS.keys(), command
+
+
 def test_benchmark_tracer_finds_every_target(monkeypatch):
     """The benchmark wraps library attributes by name; a renamed or moved
     one makes ``wrap`` raise ``AttributeError``."""
