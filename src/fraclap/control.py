@@ -11,11 +11,15 @@ discretizations are supported:
 * ``p0``: the control is piecewise constant with cellwise bounds; the
   gradient representative in the P0 inner product is Q_h p + mu z.
 
+The mode picks one control space (function class and length) that every
+control goes through; both solves check the mode, ``tol`` and ``z0`` before
+any fractional solve, and leave through one exit.
+
 One optimizer serves both modes: a projected gradient phase with spectral
 (Barzilai-Borwein) trial steps and an Armijo backtracking line search, so
-the objective is non-increasing across accepted iterates; once the
-projected step can no longer descend, or the residual stagnates, an
-active-set polish finishes the optimality system directly.
+the objective is non-increasing across accepted iterates; unless it
+converges, an active-set polish finishes the optimality system directly
+once the projected step can no longer descend or the residual stagnates.
 
 All its fractional solves share one operator.  On a 2D mesh the solver
 turns on ``SolveOptions.deflate`` for them, so the operator keeps its
@@ -66,7 +70,7 @@ _MAX_ITERATIONS = 5000
 
 @dataclass(eq=False)
 class ControlProblem:
-    """Problem data. Bounds must satisfy lower <= 0 <= upper; mu > 0."""
+    """Problem data: 0 < s < 1, finite mu > 0, lower <= 0 <= upper."""
 
     mesh: Mesh
     s: float
@@ -78,6 +82,8 @@ class ControlProblem:
     options: SolveOptions = field(default_factory=SolveOptions)
 
     def __post_init__(self):
+        if not 0.0 < self.s < 1.0:
+            raise ValueError(f"s must lie in (0, 1), got {self.s}")
         if not self.lower <= 0.0 <= self.upper:
             raise ValueError("bounds must satisfy lower <= 0 <= upper")
         if not (math.isfinite(self.mu) and self.mu > 0.0):
@@ -104,8 +110,8 @@ class ControlSolution:
 
 def project_box(values, lower: float, upper: float):
     """Componentwise clamp onto [lower, upper]; rejects empty intervals."""
-    if lower > upper:
-        raise ValueError("empty box: lower > upper")
+    if not lower <= upper:
+        raise ValueError(f"empty box [{lower}, {upper}]: need lower <= upper")
     if isinstance(values, NodalFunction):
         return NodalFunction(values.mesh, np.clip(values.values, lower, upper))
     if isinstance(values, CellwiseFunction):
@@ -115,14 +121,17 @@ def project_box(values, lower: float, upper: float):
 
 
 class _Reduced:
-    """Reduced-functional evaluations; every fractional solve goes through
-    ``solve``, which counts it in ``n_solves`` and sums its statistics into
-    ``stats``, deflated when ``deflate`` is set."""
+    """Reduced-functional evaluations in the mode's control space: its
+    function class ``space`` and length ``n``.  Every fractional solve goes
+    through ``solve``, which counts it in ``n_solves`` and sums its
+    statistics into ``stats``, deflated when ``deflate`` is set."""
 
     def __init__(self, problem: ControlProblem, deflate: bool = False):
         self.problem = problem
-        self.mesh = problem.mesh
-        self.ops = fem.operators(problem.mesh)
+        self.mesh = mesh = problem.mesh
+        variational = problem.mode == VARIATIONAL
+        self.space = NodalFunction if variational else CellwiseFunction
+        self.n = mesh.n_interior if variational else mesh.n_cells
         self.options = replace(problem.options, deflate=True) if deflate \
             else problem.options
         self.stats = SolveStats()
@@ -140,9 +149,17 @@ class _Reduced:
         return res.u
 
     def _wrap(self, values: np.ndarray):
-        if self.problem.mode == VARIATIONAL:
-            return NodalFunction(self.mesh, values)
-        return CellwiseFunction(self.mesh, values)
+        return self.space(self.mesh, values)
+
+    def control_values(self, z, name: str) -> np.ndarray:
+        """The values of control ``z``, a function or an array, checked."""
+        vals = np.asarray(getattr(z, "values", z), dtype=float)
+        if vals.shape != (self.n,):
+            raise ValueError(f"{name} must hold {self.n} values in the "
+                             f"{self.space.__name__} space, got {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{name} must be finite")
+        return vals
 
     def state(self, z_values: np.ndarray) -> NodalFunction:
         return self.solve(self._wrap(z_values))
@@ -166,31 +183,26 @@ class _Reduced:
 
     def gradient_values(self, z_values: np.ndarray,
                         p: NodalFunction) -> np.ndarray:
-        if self.problem.mode == VARIATIONAL:
-            return p.values + self.problem.mu * z_values
-        q = fem.project_p0(self.mesh, p)
-        return q.values + self.problem.mu * z_values
+        if self.space is CellwiseFunction:
+            p = fem.project_p0(self.mesh, p)
+        return p.values + self.problem.mu * z_values
 
     def pairing(self, g_values: np.ndarray, d_values: np.ndarray) -> float:
         """L2 pairing (g, d) in the mode's control space."""
-        if self.problem.mode == VARIATIONAL:
-            return float(d_values @ (self.ops.mass @ g_values))
-        return float(self.mesh.volumes @ (g_values * d_values))
+        return fem.l2_inner(self._wrap(d_values), self._wrap(g_values))
 
 
 def objective(problem: ControlProblem, z) -> float:
     """J(z) for a control in the mode's space (one fractional solve)."""
     red = _Reduced(problem)
-    z_values = z.values if hasattr(z, "values") else np.asarray(z, dtype=float)
-    u = red.state(z_values)
-    return red.value(z_values, u)
+    z_values = red.control_values(z, "z")
+    return red.value(z_values, red.state(z_values))
 
 
 def reduced_gradient(problem: ControlProblem, z):
     """L2-Riesz representative of dJ at z in the mode's control space."""
     red = _Reduced(problem)
-    z_values = z.values if hasattr(z, "values") else np.asarray(z, dtype=float)
-    _, _, g = red.evaluate(z_values)
+    _, _, g = red.evaluate(red.control_values(z, "z"))
     return red._wrap(g)
 
 
@@ -212,30 +224,33 @@ def _record(phase: str, it: int, res: float, J: float, t, n_solves: int,
                extra={"control": info})
 
 
-def _solve(problem: ControlProblem, tol: float,
-           z0: np.ndarray | None) -> ControlSolution:
-    """Two-phase solve of the box-constrained optimality system.
+def _solve(problem: ControlProblem, tol: float, z0,
+           mode: str) -> ControlSolution:
+    """Two-phase solve of the box-constrained optimality system in ``mode``.
 
     Phase one is a projected gradient method with spectral trial steps and
     Armijo backtracking, so the objective is strictly non-increasing across
-    its accepted steps.  It hands over to the polish at its first trial
-    step whose slope is not negative (no solve needed to tell): with the
-    free set fixed, clipping the M-Riesz gradient node by node, paired with
-    the consistent mass matrix, can give an ascent direction that no step
-    length repairs.  It also hands over when the residual stagnates over
-    six steps or the line search fails.  The active-set polish then solves
-    the free-node stationarity system mu*z + g_state = 0 directly (a Krylov
-    solve of the reduced operator), which drives the residual to the
-    threshold.
+    its accepted steps.  It ends at one exit, with its reason: the residual
+    meets the threshold ("converged") or stagnates over six steps, a trial
+    step's slope is not negative ("ascent", no solve needed to tell: with
+    the free set fixed, clipping the M-Riesz gradient node by node, paired
+    with the consistent mass matrix, can give an ascent direction that no
+    step length repairs), or the line search fails.  Unless it converged,
+    the active-set polish then solves the free-node stationarity system
+    mu*z + g_state = 0 directly (a Krylov solve of the reduced operator).
     """
+    if problem.mode != mode:
+        raise ValueError(f"problem mode must be {mode!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     mesh = problem.mesh
     # in 2D every fractional solve deflates the operator's lowest
     # eigenmodes; in 3D the sparse LU this takes fills too much
     red = _Reduced(problem, deflate=mesh.dim == 2)
     debug = _log.isEnabledFor(logging.DEBUG)
     lo, up, mu = problem.lower, problem.upper, problem.mu
-    n = mesh.n_interior if problem.mode == VARIATIONAL else mesh.n_cells
-    z = np.clip(z0.copy() if z0 is not None else np.zeros(n), lo, up)
+    z = np.zeros(red.n) if z0 is None else red.control_values(z0, "z0")
+    z = np.clip(z, lo, up)
 
     u, p, g = red.evaluate(z)
     J = red.value(z, u)
@@ -246,27 +261,18 @@ def _solve(problem: ControlProblem, tol: float,
     residual_history = []
     res_window: list[float] = []
     it = 0
+    reason = None
 
     while it < _MAX_ITERATIONS:
         res = _stationarity(z, g, lo, up)
         residual_history.append(res)
-        if res <= threshold:
-            if debug:
-                _record("projected gradient", it, res, J, None,
-                        red.n_solves, "converged")
-            return ControlSolution(
-                control=red._wrap(z), state=u, adjoint=p, objective=J,
-                iterations=it, residual=res, stats=red.stats,
-                mode=problem.mode,
-                objective_history=objective_history,
-                residual_history=residual_history)
+        reason = "converged" if res <= threshold else None
 
         # stagnation of the residual marks the solver-noise floor
-        reason = None
         res_window.append(res)
         if len(res_window) > 6:
             res_window.pop(0)
-            if res > 0.8 * max(res_window[:3]):
+            if reason is None and res > 0.8 * max(res_window[:3]):
                 reason = "stagnation window"
 
         # the adjoint is solved only once a trial step is accepted
@@ -307,62 +313,63 @@ def _solve(problem: ControlProblem, tol: float,
     # formula and solve the free-component stationarity system
     # mu*z_F + g_state(z)_F = 0 with GMRES (matvec = two fractional solves),
     # for the correction from the current point.  Phase one leaves u, p and
-    # g current for z.
+    # g current for z; its residual is stale if it ran out of iterations.
     def hessian(v):
         """H v, the reduced Hessian's product (two fractional solves); the
         gradient is affine in z, g(z + v) = g(z) + H v."""
         return red.gradient_values(v, red.solve(red.state(v)))
 
-    res = _stationarity(z, g, lo, up)
-    for _ in range(12):
-        residual_history.append(res)
-        if res <= threshold:
-            break
-        w = z - g
-        lower_set = w <= lo
-        upper_set = w >= up
-        free = ~(lower_set | upper_set)
-        z_new = np.where(lower_set, lo, np.where(upper_set, up, z))
-        if free.any():
-            nf = int(free.sum())
-
-            def matvec(v_free):
-                nonlocal it
-                v = np.zeros_like(z_new)
-                v[free] = v_free
-                gv = hessian(v)
-                it += 1
-                return mu * v_free + (gv - mu * v)[free]
-
-            # the gradient at z_new; one Hessian product when the active
-            # set moved it away from z
-            dz = z_new - z
-            rhs = -(g + hessian(dz) if dz.any() else g)[free]
-            op = LinearOperator((nf, nf), matvec=matvec, dtype=float)
-            rhs_norm = float(np.linalg.norm(rhs))
-            target = max(0.05 * threshold, 1e-13 * max(rhs_norm, 1.0))
-            x, info = gmres(op, rhs, atol=target, rtol=0.0, restart=60,
-                            maxiter=3)
-            z_new[free] += x
-        z = np.clip(z_new, lo, up)
-        u, p, g = red.evaluate(z)
+    if reason != "converged":
         res = _stationarity(z, g, lo, up)
-        it += 1
-        if debug:
-            _record("polish", it, res, red.value(z, u), None, red.n_solves,
-                    "converged" if res <= threshold else None)
-    else:
-        residual_history.append(res)
-        if res > threshold:
-            raise RuntimeError(
-                "active-set polish did not reach the stopping tolerance; "
-                "residual history tail: "
-                f"{[f'{r:.3e}' for r in residual_history[-8:]]}")
+        for _ in range(12):
+            residual_history.append(res)
+            if res <= threshold:
+                break
+            w = z - g
+            lower_set = w <= lo
+            upper_set = w >= up
+            free = ~(lower_set | upper_set)
+            z_new = np.where(lower_set, lo, np.where(upper_set, up, z))
+            if free.any():
+                nf = int(free.sum())
+
+                def matvec(v_free):
+                    nonlocal it
+                    v = np.zeros_like(z_new)
+                    v[free] = v_free
+                    gv = hessian(v)
+                    it += 1
+                    return mu * v_free + (gv - mu * v)[free]
+
+                # the gradient at z_new; one Hessian product when the
+                # active set moved it away from z
+                dz = z_new - z
+                rhs = -(g + hessian(dz) if dz.any() else g)[free]
+                op = LinearOperator((nf, nf), matvec=matvec, dtype=float)
+                rhs_norm = float(np.linalg.norm(rhs))
+                target = max(0.05 * threshold, 1e-13 * max(rhs_norm, 1.0))
+                x, info = gmres(op, rhs, atol=target, rtol=0.0, restart=60,
+                                maxiter=3)
+                z_new[free] += x
+            z = np.clip(z_new, lo, up)
+            u, p, g = red.evaluate(z)
+            res = _stationarity(z, g, lo, up)
+            it += 1
+            if debug:
+                _record("polish", it, res, red.value(z, u), None, red.n_solves,
+                        "converged" if res <= threshold else None)
+        else:
+            residual_history.append(res)
+            if res > threshold:
+                raise RuntimeError(
+                    "active-set polish did not reach the stopping tolerance; "
+                    "residual history tail: "
+                    f"{[f'{r:.3e}' for r in residual_history[-8:]]}")
 
     return ControlSolution(
         control=red._wrap(z), state=u, adjoint=p, objective=red.value(z, u),
-        iterations=it, residual=res, stats=red.stats,
-        mode=problem.mode, objective_history=objective_history,
+        iterations=it, residual=res, stats=red.stats, mode=mode,
+        objective_history=objective_history,
         residual_history=residual_history)
 
 
@@ -373,9 +380,7 @@ def solve_variational(problem: ControlProblem, tol: float = 1e-5,
     At convergence the control equals clamp(-p/mu) at every node up to the
     stationarity tolerance, mirroring the continuous projection formula.
     """
-    if problem.mode != VARIATIONAL:
-        raise ValueError("problem mode must be 'variational'")
-    return _solve(problem, tol, z0)
+    return _solve(problem, tol, z0, VARIATIONAL)
 
 
 def solve_fully_discrete(problem: ControlProblem, tol: float = 1e-5,
@@ -385,9 +390,7 @@ def solve_fully_discrete(problem: ControlProblem, tol: float = 1e-5,
     At convergence the control equals clamp(-Q_h p / mu) on every cell up to
     the stationarity tolerance, Q_h being the L2 projection onto P0.
     """
-    if problem.mode != FULLY_DISCRETE:
-        raise ValueError("problem mode must be 'p0'")
-    return _solve(problem, tol, z0)
+    return _solve(problem, tol, z0, FULLY_DISCRETE)
 
 
 def post_process(problem: ControlProblem,

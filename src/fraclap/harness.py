@@ -258,19 +258,17 @@ def _study_sizes(config: ExperimentConfig) -> list:
 
 
 def _reference_study(config: ExperimentConfig):
-    """``(ms, m_ref, meshes, lift, ref_mesh, ref_ops)`` of a study measured
-    against a reference solve: the study and reference sizes, the meshes of
-    every level from the coarsest up to the reference, a ``_Prolongator``
-    over them, and the reference mesh with its operators."""
+    """``(ms, m_ref, meshes, lift, ref_mesh)`` of a study measured against a
+    reference solve: the study and reference sizes, the meshes of every
+    level from the coarsest up to the reference, a ``_Prolongator`` over
+    them, and the reference mesh."""
     ms = _study_sizes(config)
     if config.ref_level <= max(config.levels):
         raise ValueError("the reference level must exceed every study level")
     m_ref = 2 ** config.ref_level
     meshes = {2 ** lv: _grid_mesh(config.dim, 2 ** lv)
               for lv in range(min(config.levels), config.ref_level + 1)}
-    ref_mesh = meshes[m_ref]
-    return (ms, m_ref, meshes, _Prolongator(meshes), ref_mesh,
-            fem.operators(ref_mesh))
+    return ms, m_ref, meshes, _Prolongator(meshes), meshes[m_ref]
 
 
 def run_state_convergence(config: ExperimentConfig) -> dict:
@@ -278,7 +276,7 @@ def run_state_convergence(config: ExperimentConfig) -> dict:
 
     Returns one RateTable per fractional power.
     """
-    ms, m_ref, meshes, lift, ref_mesh, ref_ops = _reference_study(config)
+    ms, m_ref, meshes, lift, ref_mesh = _reference_study(config)
 
     def solve_level(args):
         s, m = args
@@ -297,10 +295,9 @@ def run_state_convergence(config: ExperimentConfig) -> dict:
         (u_ref,) = _cached(
             [path], ref_mesh.n_interior,
             lambda: [_state_solution(ref_mesh, s, config).u.values])
-        errors = []
-        for m in ms:
-            diff = u_ref - lift.lift(results[(s, m)], m, m_ref)
-            errors.append(math.sqrt(max(diff @ (ref_ops.mass @ diff), 0.0)))
+        errors = [fem.l2_norm(NodalFunction(
+            ref_mesh, u_ref - lift.lift(results[(s, m)], m, m_ref)))
+            for m in ms]
         table = RateTable.from_errors(f"state_L2_s{s}", n_omegas, hs, errors)
         tables[s] = table
         _write_table(config.out_dir, f"state_conv_s{s}", table)
@@ -390,7 +387,7 @@ def run_control_convergence(config: ExperimentConfig) -> dict:
     if config.threads != 1:
         raise ValueError("the control study runs its solves in sequence; "
                          f"threads must be 1, got {config.threads}")
-    ms, m_ref, meshes, lift, ref_mesh, ref_ops = _reference_study(config)
+    ms, m_ref, meshes, lift, ref_mesh = _reference_study(config)
     lam, w = fem.simplex_quadrature(config.dim, degree=4)
     n_omegas = [meshes[m].n_vertices for m in ms]
     hs = [meshes[m].h for m in ms]
@@ -430,9 +427,9 @@ def run_control_convergence(config: ExperimentConfig) -> dict:
                 lift.lift(var_sol.adjoint.values, m, m_ref))
             err_var = _quad_l2(ref_mesh, w, z_ref_quad - z_var_quad)
 
-            du = u_ref - lift.lift(p0_sol.state.values, m, m_ref)
-            e_l2 = math.sqrt(max(du @ (ref_ops.mass @ du), 0.0))
-            e_h1 = math.sqrt(max(du @ (ref_ops.stiffness @ du), 0.0))
+            du = NodalFunction(
+                ref_mesh, u_ref - lift.lift(p0_sol.state.values, m, m_ref))
+            e_l2, e_h1 = fem.l2_norm(du), fem.h1_seminorm(du)
 
             series["control_p0"].append(err_p0)
             series["control_pp"].append(err_pp)

@@ -56,6 +56,10 @@ class TestProjectBox:
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError):
             project_box(np.zeros(3), 1.0, -1.0)
+        # a NaN bound used to clamp every value to NaN
+        for lower, upper in [(math.nan, 1.0), (-1.0, math.nan)]:
+            with pytest.raises(ValueError, match="empty box"):
+                project_box(np.array([2.0, -2.0]), lower, upper)
 
 
 class TestObjective:
@@ -335,6 +339,15 @@ class TestProblemValidation:
                            desired=interpolate(mesh, u_d_fn),
                            mode=VARIATIONAL)
 
+    @pytest.mark.parametrize("s", [0.0, 1.0, 1.5, math.nan])
+    def test_s_inside_the_unit_interval(self, s):
+        # s = 1.5 used to construct, and the first solve then rejected it
+        mesh = unit_square_mesh(4)
+        with pytest.raises(ValueError, match=r"s must lie in \(0, 1\)"):
+            ControlProblem(mesh=mesh, s=s, mu=0.1, lower=-1, upper=1,
+                           desired=interpolate(mesh, u_d_fn),
+                           mode=VARIATIONAL)
+
     @pytest.mark.parametrize("mu", [math.nan, math.inf])
     def test_mu_finite(self, mu):
         # a non-finite mu used to construct, and the first solve then
@@ -344,6 +357,63 @@ class TestProblemValidation:
             ControlProblem(mesh=mesh, s=0.5, mu=mu, lower=-1, upper=1,
                            desired=interpolate(mesh, u_d_fn),
                            mode=VARIATIONAL)
+
+
+SOLVES = {VARIATIONAL: solve_variational, FULLY_DISCRETE: solve_fully_discrete}
+
+
+@pytest.mark.parametrize("mode", [VARIATIONAL, FULLY_DISCRETE])
+class TestInputsCheckedBeforeSolving:
+    """Each input a solve cannot use raises a ValueError that names it
+    before the first fractional solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = fraclap.control.fractional_solve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fraclap.control, "fractional_solve", counting)
+        return calls
+
+    def test_mode(self, solves, mode):
+        prob = make_problem(unit_square_mesh(8), mode)
+        other = FULLY_DISCRETE if mode == VARIATIONAL else VARIATIONAL
+        with pytest.raises(ValueError, match=f"mode must be '{other}'"):
+            SOLVES[other](prob)
+        assert solves == []
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol(self, solves, mode, tol):
+        # 0 and -1 used to run the polish dry (50 solves), nan to return
+        # after 208 solves and inf to return the zero control
+        prob = make_problem(unit_square_mesh(8), mode)
+        with pytest.raises(ValueError, match="tol must be finite and posi"):
+            SOLVES[mode](prob, tol=tol)
+        assert solves == []
+
+    @pytest.mark.parametrize("bad", ["short", "nan"])
+    @pytest.mark.parametrize("call", ["z0", "objective", "reduced_gradient"])
+    def test_control(self, solves, mode, bad, call):
+        # they used to fail inside the first solve, naming its coefficients
+        # or its right-hand side
+        mesh = unit_square_mesh(8)
+        prob = make_problem(mesh, mode)
+        n = mesh.n_interior if mode == VARIATIONAL else mesh.n_cells
+        z = np.zeros(n - 1) if bad == "short" else np.full(n, math.nan)
+        name = "z0" if call == "z0" else "z"
+        space = "NodalFunction" if mode == VARIATIONAL else "CellwiseFunction"
+        message = (f"{name} must hold {n} values in the {space} space"
+                   if bad == "short" else f"{name} must be finite")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            if call == "z0":
+                SOLVES[mode](prob, z0=z)
+            else:
+                getattr(fraclap.control, call)(prob, z)
+        assert solves == []
 
 
 @pytest.mark.parametrize("mode", [VARIATIONAL, FULLY_DISCRETE])
@@ -399,6 +469,29 @@ def test_polish_makes_no_zero_load_solve(monkeypatch):
     # only the state of the zero start has a zero load
     assert not np.any(loads[0])
     assert all(np.any(load) for load in loads[1:])
+
+
+def test_polish_that_cannot_converge_names_its_residuals(monkeypatch,
+                                                         caplog):
+    # a GMRES that returns no correction leaves the polish its active-set
+    # steps alone, which stall above the threshold
+    def no_correction(op, rhs, **kwargs):
+        return np.zeros_like(rhs), 0
+
+    monkeypatch.setattr(fraclap.control, "gmres", no_correction)
+    caplog.set_level(logging.DEBUG, logger="fraclap")
+    mesh = unit_square_mesh(16)
+    prob = make_problem(mesh, VARIATIONAL, mu=0.01, lower=-0.3, upper=0.3)
+    with pytest.raises(RuntimeError, match="polish did not reach") as exc:
+        solve_variational(prob, tol=1e-9)
+    records = [r.control for r in caplog.records
+               if r.name == "fraclap.control"]
+    polish = [r for r in records if r["phase"] == "polish"]
+    assert len(polish) == 12
+    assert all(r["exit"] is None for r in polish)
+    assert polish[-1]["residual"] > 1e-9 * mesh.h
+    tail = [f"{r['residual']:.3e}" for r in polish[-8:]]
+    assert str(exc.value).endswith(f"tail: {tail}")
 
 
 class TestIterationRecords:

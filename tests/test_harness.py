@@ -219,31 +219,35 @@ class TestReferenceCache:
         assert reference_solves(levels=(2,)) == 1
         assert reference_solves(levels=(2,)) == 0
 
-    def test_truncated_state_reference_is_recomputed(self, tmp_path):
+    @staticmethod
+    def recomputes_state_reference(tmp_path, corrupt):
+        """Rewrites the state reference cache file as ``corrupt(lines)``
+        and checks that the rerun recomputes it: the rate table and the
+        file come back unchanged."""
         cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3), ref_level=4,
                                out_dir=str(tmp_path))
         run_state_convergence(cfg)
         csv = (tmp_path / "state_conv_s0.5.csv").read_text()
         (path,) = (tmp_path / "cache").glob("state_ref_*.txt")
         lines = path.read_text().splitlines(True)
-        path.write_text("".join(lines[:len(lines) // 2]))
+        path.write_text("".join(corrupt(lines)))
         run_state_convergence(cfg)
         assert (tmp_path / "state_conv_s0.5.csv").read_text() == csv
         assert path.read_text().splitlines(True) == lines
+
+    def test_truncated_state_reference_is_recomputed(self, tmp_path):
+        self.recomputes_state_reference(
+            tmp_path, lambda lines: lines[:len(lines) // 2])
         assert not list((tmp_path / "cache").glob("*.tmp"))
+
+    def test_unreadable_state_reference_is_recomputed(self, tmp_path):
+        self.recomputes_state_reference(tmp_path,
+                                        lambda lines: ["not a number\n"])
 
     def test_non_finite_state_reference_is_recomputed(self, tmp_path):
         # such a file used to load as a valid reference of the right length
-        cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3), ref_level=4,
-                               out_dir=str(tmp_path))
-        run_state_convergence(cfg)
-        csv = (tmp_path / "state_conv_s0.5.csv").read_text()
-        (path,) = (tmp_path / "cache").glob("state_ref_*.txt")
-        lines = path.read_text().splitlines(True)
-        path.write_text("".join(["nan\n", "inf\n"] + lines[2:]))
-        run_state_convergence(cfg)
-        assert (tmp_path / "state_conv_s0.5.csv").read_text() == csv
-        assert path.read_text().splitlines(True) == lines
+        self.recomputes_state_reference(
+            tmp_path, lambda lines: ["nan\n", "inf\n"] + lines[2:])
 
 
 def test_interrupted_write_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -293,6 +297,21 @@ class TestSolverStats:
         # the study solves no reference; such a level used to be rejected
         cfg = ExperimentConfig(s_values=(0.5,), levels=(2,), ref_level=2)
         assert run_solver_stats(cfg).splitlines()[1].startswith("25,0.5,")
+
+
+@pytest.mark.parametrize("run", [run_state_convergence, run_solver_stats])
+def test_two_threads_give_the_results_of_one(tmp_path, run):
+    results = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        result = run(ExperimentConfig(s_values=(0.25, 0.5), levels=(2, 3, 4),
+                                      ref_level=5, out_dir=str(out),
+                                      threads=threads))
+        files = {path.name: path.read_text() for path in out.iterdir()
+                 if path.is_file()}
+        results.append((result, files))
+    assert results[0][1]
+    assert results[1] == results[0]
 
 
 class TestConfigFile:
@@ -345,6 +364,28 @@ class TestCli:
         cfg = ExperimentConfig(s_values=(0.5,), levels=(2, 3), ref_level=4)
         table = run_state_convergence(cfg)[0.5]
         assert captured.out == "# s = 0.5\n" + table.to_csv()
+
+    def test_control_conv_subcommand(self, tmp_path, capsys):
+        code = main(["control-conv", "--s", "0.5", "--levels", "2..3",
+                     "--ref-level", "4", "--out", str(tmp_path)])
+        assert code == 0
+        expected = ""
+        for name in ("control_p0", "control_pp", "control_var", "state_L2",
+                     "state_Hs"):
+            csv = (tmp_path / f"control_conv_{name}_s0.5.csv").read_text()
+            assert csv.startswith("N_omega,h,error,rate\n25,")
+            assert (tmp_path / f"control_conv_{name}_s0.5.dat").exists()
+            expected += f"# s = 0.5, series = {name}\n{csv}"
+        assert capsys.readouterr().out == expected
+
+    def test_solve_rejects_tol_that_is_not_positive(self, tmp_path, capsys):
+        # it used to fail after 50 fractional solves, blaming the polish
+        out = tmp_path / "run"
+        code = main(["solve", "--level", "3", "--mode", "variational",
+                     "--tol", "0", "--out", str(out)])
+        assert code == 1
+        assert "tol must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_flag(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

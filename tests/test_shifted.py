@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fraclap import (read_mesh, shifted, solve_family, unit_square_mesh,
-                     write_mesh)
+import fraclap.fractional
+from fraclap import (fractional_solve, read_mesh, shifted, solve_family,
+                     unit_square_mesh, write_mesh)
 from fraclap.fem import assemble_load, lump_mass, operators
-from fraclap.fractional import quadrature_for_mesh, sinc_quadrature
+from fraclap.fractional import (SolveOptions, quadrature_for_mesh,
+                                sinc_quadrature)
 from fraclap.harness import hat_rhs
 from fraclap.shifted import _head, normalize, solve_preconditioned
 
@@ -475,6 +477,61 @@ class TestSequentialPCG:
         for v, alpha in zip(sols, quad.shifts):
             r = ops.stiffness @ v + alpha * (ops.lumped_mass * v) - Z
             assert np.linalg.norm(r) <= 1e-8 * norm_z
+
+
+class TestStagnation:
+    """A tail system that PCG cannot solve raises, naming its shift and
+    label, once it has failed with a freshly built preconditioner."""
+
+    @staticmethod
+    def never(op, x0, r0, prec, tol, maxiter):
+        return x0, r0, maxiter, False
+
+    def _solve(self, monkeypatch, pcg):
+        """``(error, preconditioner shifts, tail shifts and labels)`` of a
+        2D m = 16 solve whose tail runs ``pcg``."""
+        mesh = unit_square_mesh(16)
+        opts = SolveOptions(n_max=5)
+        good = fractional_solve(mesh, 0.5, hat_rhs(mesh), opts)
+        quad = good.quadrature
+        order = np.argsort(-quad.shifts)[good.stats.n_alg1:]
+        builds = []
+        gmg = fraclap.fractional.GeometricMultigrid
+
+        def counted(hierarchy, alpha):
+            builds.append(alpha)
+            return gmg(hierarchy, alpha)
+
+        monkeypatch.setattr(fraclap.fractional, "GeometricMultigrid", counted)
+        monkeypatch.setattr(shifted, "_pcg", pcg)
+        with pytest.raises(RuntimeError, match="PCG stagnation") as exc:
+            fractional_solve(mesh, 0.5, hat_rhs(mesh), opts)
+        return str(exc.value), builds, quad.shifts[order], quad.l[order]
+
+    def test_first_system(self, monkeypatch):
+        # its preconditioner is fresh, so it is not built twice
+        err, builds, shifts, labels = self._solve(monkeypatch, self.never)
+        assert builds == [shifts[0]]
+        assert err.startswith(f"PCG stagnation on shift {shifts[0]:.4g} "
+                              f"(label {labels[0]}): no convergence within ")
+        assert err.endswith(" after a fresh preconditioner")
+
+    def test_after_a_cheap_system(self, monkeypatch):
+        # the first system converges within the cap, so the next one keeps
+        # its preconditioner and builds a fresh one only once it fails
+        pcg, calls = shifted._pcg, []
+
+        def first_only(*args):
+            calls.append(args)
+            return pcg(*args) if len(calls) == 1 else self.never(*args)
+
+        err, builds, shifts, labels = self._solve(monkeypatch, first_only)
+        assert len(calls) == 3 and len(builds) == 2
+        assert builds[0] == shifts[0] and builds[1] in shifts[1:]
+        pos = list(shifts).index(builds[1])
+        assert err.startswith(f"PCG stagnation on shift {shifts[pos]:.4g} "
+                              f"(label {labels[pos]}): no convergence ")
+        assert err.endswith(" after a fresh preconditioner")
 
 
 def traced_solve(monkeypatch, fam, start, rtol, **kwargs):
