@@ -15,6 +15,7 @@ symmetric.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -180,16 +181,27 @@ class Operators(NamedTuple):
     lumped_mass: np.ndarray
 
 
+# operators per mesh object, and per mesh the lock that makes its check and
+# build one step, so that concurrent callers share one assembly while other
+# meshes assemble beside it
 _op_cache: "weakref.WeakKeyDictionary[Mesh, Operators]" = weakref.WeakKeyDictionary()
+_op_locks: "weakref.WeakKeyDictionary[Mesh, threading.Lock]" = \
+    weakref.WeakKeyDictionary()
+_op_locks_lock = threading.Lock()
 
 
 def operators(mesh: Mesh) -> Operators:
     """Assembled (A, M, lumped M) for a mesh, cached per mesh object."""
     ops = _op_cache.get(mesh)
     if ops is None:
-        A, M = _assemble_operators(mesh)
-        ops = Operators(A, M, lump_mass(M))
-        _op_cache[mesh] = ops
+        with _op_locks_lock:
+            lock = _op_locks.setdefault(mesh, threading.Lock())
+        with lock:
+            ops = _op_cache.get(mesh)
+            if ops is None:
+                A, M = _assemble_operators(mesh)
+                ops = Operators(A, M, lump_mass(M))
+                _op_cache[mesh] = ops
     return ops
 
 

@@ -192,9 +192,7 @@ def _write(out_dir: str | None, name: str, text: str):
 def _cache_path(out_dir: str | None, name: str):
     if out_dir is None:
         return None
-    cache = os.path.join(out_dir, "cache")
-    os.makedirs(cache, exist_ok=True)
-    return os.path.join(cache, name)
+    return os.path.join(out_dir, "cache", name)
 
 
 def _load_vector(path, n: int):
@@ -213,6 +211,7 @@ def _load_vector(path, n: int):
 def _save_vector(path, vec: np.ndarray):
     if path is None:
         return
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with _replacing(path) as tmp:
         np.savetxt(tmp, vec, fmt="%.17g")
 

@@ -9,9 +9,15 @@ with a mesh hierarchy one symmetric Gauss-Seidel sweep is the fallback.
 Operators whose nonzeros lie on a few diagonals, as the grid operators do
 (5 in 2D, 7 in 3D), are stored as DIA matrices: their matvec reads no
 column indices and adds each row's products in the same order as the CSR
-matvec, so it is faster and gives the same bits.  ``_banded`` is the one
-place that decides on that storage and builds it, here for the V-cycle
-levels and in ``shifted`` for the scaled operator.
+matvec, so it gives the same bits.  It is faster than CSR while the
+vectors stay in cache (2D level 8: 180 against 243 us), but it sweeps the
+output once per diagonal, so at 3D level 6 it is slower (1,780 against
+1,376 us; BLAS on one thread, 2 MiB L2).  ``shifted`` runs the scaled
+operator's product in blocks of rows (``shifted._accumulator``); the
+V-cycle levels still use scipy's product as it is, until a benchmark
+workload reaches the PCG tail to measure blocking them.  ``_banded`` is
+the one place that decides on that storage and builds it, here for the
+V-cycle levels and in ``shifted`` for the scaled operator.
 """
 
 from __future__ import annotations
@@ -35,7 +41,10 @@ def _banded(mat: sp.csr_matrix):
     Only a canonical CSR matrix (sorted indices, no duplicates) qualifies:
     the DIA matvec adds a row's products in ascending offset order, the CSR
     one in stored column order, so with sorted indices both give the same
-    bits (the padding adds zeros).
+    bits (the padding adds zeros).  Not the same speed: scipy's DIA matvec
+    sweeps the output once per diagonal, slower than CSR once the vectors
+    outgrow the cache (3D level 6), unless blocked by rows as
+    ``shifted._accumulator`` does for the scaled operator.
     """
     n = mat.shape[0]
     if mat.shape[1] != n or n == 0 or not mat.has_canonical_format:

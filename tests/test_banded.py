@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from fraclap import (fractional, interpolate, multigrid, read_mesh, shifted,
                      solve_all_shifted, solve_family, unit_cube_mesh,
@@ -315,6 +316,129 @@ class TestAccumulatingProduct:
                                (x, np.zeros((1, n)))):
             with pytest.raises(ValueError, match="out="):
                 family.apply_scaled(bad_x, out=bad_out)
+
+
+def spy_kernels(patch):
+    """Record ``(n_row, n_col, offsets)`` of every DIA kernel call and the
+    CSR kernel's calls, on kernels bound after this patch."""
+    dia, csr = [], []
+    dia_matvec = _sparsetools.dia_matvec
+    csr_matvec = _sparsetools.csr_matvec
+
+    def dia_spy(n_row, n_col, n_diags, stride, offsets, data, x, y):
+        dia.append((n_row, n_col, offsets.copy()))
+        dia_matvec(n_row, n_col, n_diags, stride, offsets, data, x, y)
+
+    def csr_spy(*args):
+        csr.append(args[:2])
+        csr_matvec(*args)
+
+    patch.setattr(_sparsetools, "dia_matvec", dia_spy)
+    patch.setattr(_sparsetools, "csr_matvec", csr_spy)
+    return dia, csr
+
+
+# rows per block below: a prime, so that the blocks cut through the stencils
+# and the last block is a short one on every mesh here
+BLOCK = 97
+
+
+class TestBlockedProduct:
+    @pytest.mark.parametrize("build, n_diagonals", [
+        (lambda: unit_square_mesh(32), 5), (lambda: unit_cube_mesh(16), 7)],
+        ids=["square32", "cube16"])
+    def test_blocks_give_the_unblocked_bits(self, monkeypatch, build,
+                                            n_diagonals):
+        monkeypatch.setattr(shifted, "_BLOCK_ROWS", BLOCK)
+        monkeypatch.setattr(shifted, "_scaled_cache", {})
+        mesh = build()
+        ops = operators(mesh)
+        dia, _ = spy_kernels(monkeypatch)
+        family = normalize(ops.stiffness, ops.lumped_mass, np.array([1.0]),
+                           np.ones(mesh.n_interior))
+        A, n = family.A_scaled, family.n
+        assert A.format == "dia" and A.offsets.size == n_diagonals
+        x, y = np.random.default_rng(13).standard_normal((2, n))
+        out = y.copy()
+        assert family.apply_scaled(x, out=out) is out
+        # one call per block of rows, each on the columns its rows reach
+        n_blocks = -(-n // BLOCK)
+        assert n % BLOCK and len(dia) == n_blocks
+        assert [call[0] for call in dia] == [BLOCK] * (n_blocks - 1) \
+            + [n % BLOCK]
+        lo, hi = int(A.offsets.min()), int(A.offsets.max())
+        for (n_row, n_col, offsets), r0 in zip(dia, range(0, n, BLOCK)):
+            c0 = max(0, r0 + lo)
+            assert n_col == min(n, r0 + n_row + hi) - c0
+            np.testing.assert_array_equal(offsets, A.offsets + (r0 - c0))
+        # the unblocked kernel, one call over all rows
+        want = y.copy()
+        _sparsetools.dia_matvec(n, n, A.offsets.size, A.data.shape[1],
+                                A.offsets, A.data, x, want)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(out, accumulated(A, x, y))
+        # without out: the same kernel into a zero vector, A~ @ x's bits
+        product = A @ x
+        dia.clear()
+        np.testing.assert_array_equal(family.apply_scaled(x), product)
+        assert len(dia) == n_blocks
+
+    def test_operator_of_one_block_makes_one_call(self, monkeypatch):
+        monkeypatch.setattr(shifted, "_scaled_cache", {})
+        mesh = unit_cube_mesh(16)
+        ops = operators(mesh)
+        dia, _ = spy_kernels(monkeypatch)
+        family = normalize(ops.stiffness, ops.lumped_mass, np.array([1.0]),
+                           np.ones(mesh.n_interior))
+        assert family.n <= shifted._BLOCK_ROWS
+        family.apply_scaled(np.ones(family.n))
+        assert len(dia) == 1 and dia[0][:2] == (family.n, family.n)
+        np.testing.assert_array_equal(dia[0][2], family.A_scaled.offsets)
+
+    def test_csr_operator_keeps_its_kernel(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(shifted, "_BLOCK_ROWS", BLOCK)
+        monkeypatch.setattr(shifted, "_scaled_cache", {})
+        mesh = perturbed_square(tmp_path, 32, renumber=True)
+        ops = operators(mesh)
+        dia, csr = spy_kernels(monkeypatch)
+        family = normalize(ops.stiffness, ops.lumped_mass, np.array([1.0]),
+                           np.ones(mesh.n_interior))
+        assert family.A_scaled.format == "csr"
+        x, y = np.random.default_rng(17).standard_normal((2, family.n))
+        out = family.apply_scaled(x, out=y.copy())
+        assert not dia and csr == [(family.n, family.n)]
+        np.testing.assert_array_equal(out, accumulated(family.A_scaled, x, y))
+
+    def test_whole_solve_keeps_its_bits(self, monkeypatch):
+        # a scan past the stored rows (second pass) and a PCG tail: the
+        # scan, the regeneration and the tail's operator all multiply
+        mesh = unit_cube_mesh(16)
+        ops = operators(mesh)
+        quad = quadrature_for_mesh(0.5, mesh.h)
+        z = assemble_load(mesh, lambda p: np.sin(np.pi * p).prod(axis=1)
+                          + p[:, 0])
+        runs = []
+        for block in (shifted._BLOCK_ROWS, BLOCK):
+            with monkeypatch.context() as patch:
+                patch.setattr(shifted, "_BLOCK_ROWS", block)
+                patch.setattr(shifted, "_STORED_MAX", 5)
+                patch.setattr(shifted, "_scaled_cache", {})
+                dia, _ = spy_kernels(patch)
+                values, stats = solve_family(
+                    ops.stiffness, ops.lumped_mass, quad.shifts, z,
+                    labels=quad.l, n_max=N_MAX)
+            n_basis = stats.iterations[stats.crossover]
+            # N_MAX scanned products, N_MAX - 5 regenerated, then the tail's
+            assert n_basis == N_MAX and stats.n_alg2 > 0
+            assert stats.n_matvec > 2 * N_MAX - 5
+            # every product through the kernel, block by block
+            n_blocks = 1 if block > mesh.n_interior else \
+                -(-mesh.n_interior // block)
+            assert len(dia) == n_blocks * stats.n_matvec
+            runs.append((values, dataclasses.asdict(stats)))
+        (want, want_stats), (got, got_stats) = runs
+        assert got_stats == want_stats
+        np.testing.assert_array_equal(got, want)
 
 
 class TestRegeneratedBasis:

@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import fraclap.fem
 import fraclap.mesh
 from fraclap import (CellwiseFunction, NodalFunction, assemble_load,
                      assemble_mass, assemble_stiffness, h1_seminorm,
@@ -149,6 +152,57 @@ class TestAssembly:
             S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
             for S in (ops.stiffness, ops.mass))
         assert peak <= 4 * out
+
+    @staticmethod
+    def run_in_threads(*meshes):
+        results, errors = [None] * len(meshes), []
+
+        def work(i):
+            try:
+                results[i] = operators(meshes[i])
+            except Exception as exc:                # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(meshes))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        return results
+
+    def test_concurrent_callers_share_one_assembly(self, monkeypatch):
+        assemble = fraclap.fem._assemble_operators
+        calls = []
+
+        def slow(mesh):
+            calls.append(mesh)
+            time.sleep(0.2)         # the other caller arrives meanwhile
+            return assemble(mesh)
+
+        monkeypatch.setattr(fraclap.fem, "_assemble_operators", slow)
+        mesh = unit_square_mesh(16)
+        first, second = self.run_in_threads(mesh, mesh)
+        assert calls == [mesh]
+        assert first is second
+
+    def test_other_meshes_assemble_at_the_same_time(self, monkeypatch):
+        # each assembly waits for the other inside: serialized, they would
+        # break the barrier
+        assemble = fraclap.fem._assemble_operators
+        barrier = threading.Barrier(2, timeout=20)
+
+        def meeting(mesh):
+            barrier.wait()
+            return assemble(mesh)
+
+        monkeypatch.setattr(fraclap.fem, "_assemble_operators", meeting)
+        meshes = (unit_square_mesh(16), unit_square_mesh(16))
+        ops = self.run_in_threads(*meshes)
+        assert ops[0] is not ops[1]
+        assert all(operators(mesh) is o for mesh, o in zip(meshes, ops))
 
 
 class TestMass:

@@ -479,6 +479,16 @@ class TestCli:
         assert "s must lie in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_study_rejected_by_the_solver_leaves_no_output(self, tmp_path,
+                                                           capsys):
+        # its reference cache directory used to be made before the solve
+        out = tmp_path / "run"
+        code = main(["control-conv", "--s", "0.5", "--levels", "2",
+                     "--ref-level", "3", "--tol", "0", "--out", str(out)])
+        assert code == 1
+        assert "tol must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["config", "flag"])
     def test_value_that_does_not_parse_names_its_key(self, tmp_path, capsys,
                                                      source):
