@@ -10,7 +10,9 @@ pass over fixed-size chunks of cells, so that temporaries are bounded by the
 chunk rather than the mesh.  Cell gradients and volumes come in closed form
 from ``mesh._cell_geometry`` (no per-cell inverse or determinant).  Only the
 upper triangle is scattered, and mirroring it makes the matrices exactly
-symmetric.
+symmetric.  ``_once`` builds every value kept per object: these operators
+per mesh, its multigrid hierarchy, and per stiffness matrix the scaled
+operator and its deflation space.
 """
 
 from __future__ import annotations
@@ -181,28 +183,44 @@ class Operators(NamedTuple):
     lumped_mass: np.ndarray
 
 
-# operators per mesh object, and per mesh the lock that makes its check and
-# build one step, so that concurrent callers share one assembly while other
-# meshes assemble beside it
-_op_cache: "weakref.WeakKeyDictionary[Mesh, Operators]" = weakref.WeakKeyDictionary()
-_op_locks: "weakref.WeakKeyDictionary[Mesh, threading.Lock]" = \
-    weakref.WeakKeyDictionary()
-_op_locks_lock = threading.Lock()
+_UNSET = object()
+_built: dict = {}
+_built_lock = threading.Lock()
+
+
+class _Slot:
+    __slots__ = ("lock", "value")
+
+    def __init__(self):
+        self.lock, self.value = threading.Lock(), _UNSET
+
+
+def _once(owner, kind: str, build: Callable, keep: Callable | None = None):
+    """``build()``, run once per live ``owner`` and ``kind`` (again only
+    when ``keep(value)`` is false), its value shared by every caller.
+
+    Each slot's lock makes its check and build one step: concurrent callers
+    wait and share one build, while other owners build beside it.  The slot
+    is popped when its owner is collected, by a finalizer that takes no
+    lock, as the collector may run it on a thread that holds one."""
+    key = (id(owner), kind)
+    with _built_lock:
+        slot = _built.get(key)
+        if slot is None:
+            slot = _built[key] = _Slot()
+            weakref.finalize(owner, _built.pop, key, None)
+    with slot.lock:
+        if slot.value is _UNSET or (keep is not None and not keep(slot.value)):
+            slot.value = build()
+        return slot.value
 
 
 def operators(mesh: Mesh) -> Operators:
-    """Assembled (A, M, lumped M) for a mesh, cached per mesh object."""
-    ops = _op_cache.get(mesh)
-    if ops is None:
-        with _op_locks_lock:
-            lock = _op_locks.setdefault(mesh, threading.Lock())
-        with lock:
-            ops = _op_cache.get(mesh)
-            if ops is None:
-                A, M = _assemble_operators(mesh)
-                ops = Operators(A, M, lump_mass(M))
-                _op_cache[mesh] = ops
-    return ops
+    """Assembled (A, M, lumped M) for a mesh, built once per mesh object."""
+    def build():
+        A, M = _assemble_operators(mesh)
+        return Operators(A, M, lump_mass(M))
+    return _once(mesh, "operators", build)
 
 
 def _quad_points(mesh: Mesh, degree: int):

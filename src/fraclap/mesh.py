@@ -363,7 +363,9 @@ def read_mesh(path) -> Mesh:
     bad = np.flatnonzero(~(det > 1e-12 * lengths.prod(axis=1)))
     if bad.size:
         raise ValueError(f"cell {bad[0]} is degenerate (zero volume)")
-    h = float(lengths.max())
+    i, j = np.triu_indices(dim + 1, 1)          # every edge of a cell
+    h = float(np.sqrt(((vertices[cells[:, i]] - vertices[cells[:, j]]) ** 2)
+                      .sum(axis=2).max()))
     return Mesh(dim=dim, cells_per_side=None, vertices=vertices, cells=cells,
                 boundary=boundary, interior=interior, dof_index=dof_index,
                 volumes=np.abs(volumes), h=h)

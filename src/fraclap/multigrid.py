@@ -1,9 +1,10 @@
 """Preconditioners for the shifted systems (A + alpha * M_h).
 
 The workhorse is a geometric multigrid V-cycle on the structured refinement
-hierarchy (damped Jacobi smoothing, two pre/post sweeps, one symmetric
-cycle per application: a second cycle saves only ~7% of the PCG iterations
-of the small-shift tail at twice the cost).  For operators that do not come
+hierarchy, which is built once per mesh object (``fem._once``): damped
+Jacobi smoothing, two pre/post sweeps, one symmetric cycle per application
+(a second cycle saves only ~7% of the PCG iterations of the small-shift
+tail at twice the cost).  For operators that do not come
 with a mesh hierarchy one symmetric Gauss-Seidel sweep is the fallback.
 
 Operators whose nonzeros lie on a few diagonals, as the grid operators do
@@ -21,8 +22,6 @@ V-cycle levels and in ``shifted`` for the scaled operator.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,16 +61,13 @@ def _banded(mat: sp.csr_matrix):
     return sp.dia_matrix((data, offsets), shape=mat.shape)
 
 
-_hierarchy_cache: "weakref.WeakKeyDictionary[Mesh, MeshHierarchy]" = \
-    weakref.WeakKeyDictionary()
-
-
 class MeshHierarchy:
     """Nested structured meshes from a small coarse grid up to ``fine``.
 
-    Levels are ordered coarse to fine.  Each level carries its assembled
-    stiffness matrix, lumped mass, and the interpolation from the previous
-    level.
+    Levels are ordered coarse to fine, ``sizes`` their cells per side.  Each
+    level carries its assembled stiffness matrix, lumped mass, and the
+    interpolation from the previous level.  It keeps no mesh: holding
+    ``fine``, the mesh it is built once for, it would keep itself alive.
     """
 
     # levels coarser than this are replaced by one direct solve
@@ -84,33 +80,30 @@ class MeshHierarchy:
         while (sizes[-1] % 2 == 0 and sizes[-1] > 2
                and (sizes[-1] - 1) ** fine.dim > self.COARSE_DOFS):
             sizes.append(sizes[-1] // 2)
-        sizes.reverse()
+        self.sizes = sizes[::-1]
         maker = unit_square_mesh if fine.dim == 2 else unit_cube_mesh
-        self.meshes = [maker(m) for m in sizes[:-1]] + [fine]
+        meshes = [maker(m) for m in self.sizes[:-1]] + [fine]
         self.stiffness = []
         self.lumped_mass = []
-        for mesh in self.meshes:
+        for mesh in meshes:
             ops = fem.operators(mesh)
             self.stiffness.append(ops.stiffness)
             self.lumped_mass.append(ops.lumped_mass)
         self.prolongations = [None] + [
-            prolongation_matrix(self.meshes[i], self.meshes[i + 1])
-            for i in range(len(self.meshes) - 1)
+            prolongation_matrix(coarse, finer)
+            for coarse, finer in zip(meshes, meshes[1:])
         ]
         self.restrictions = [None] + [sp.csr_matrix(P.T)
                                       for P in self.prolongations[1:]]
 
     @classmethod
     def for_mesh(cls, fine: Mesh) -> "MeshHierarchy":
-        hier = _hierarchy_cache.get(fine)
-        if hier is None:
-            hier = cls(fine)
-            _hierarchy_cache[fine] = hier
-        return hier
+        """The hierarchy of ``fine``, built once per mesh object."""
+        return fem._once(fine, "hierarchy", lambda: cls(fine))
 
     @property
     def n_levels(self) -> int:
-        return len(self.meshes)
+        return len(self.sizes)
 
 
 class GeometricMultigrid:

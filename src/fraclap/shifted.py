@@ -11,8 +11,8 @@ the basis grows until the smallest shift's residual, tracked by one scalar
 recurrence, meets the tolerance; when it stops at ``n_max`` vectors
 instead, the solved shifts are the leading ones whose residual, read off the
 tridiagonal's eigenvalues, meets it.  ``normalize`` assembles A~
-prescaled, once per stiffness matrix (again only when the lumped mass
-changes), and reuses it for every later family on the same operator.  A~ is
+prescaled, once per stiffness matrix (``fem._once``; again only when the
+lumped mass changes), for every family on the same operator.  A~ is
 scaled on A's own sparsity pattern and handed to ``multigrid._banded``,
 which stores it as a DIA matrix when its nonzeros lie on a few diagonals,
 as on the grid meshes, with the same bits as CSR.  scipy's DIA kernel sweeps
@@ -34,9 +34,9 @@ memory: past that row the scan keeps two rolling vectors and the
 tridiagonal, and the head's combinations are completed in a second pass
 that regenerates the dropped vectors through the same ``_step``, hence with
 the scan's bits (two-pass Lanczos; Frommer & Simoncini, 2008).  An operator
-can also keep its ``_DEFLATE`` lowest eigenpairs, built on the first solve
-that asks for them (``SolveOptions.deflate``, which the control solver sets
-in 2D); such a scan then starts from the right-hand side with those modes
+can also keep its ``_DEFLATE`` lowest eigenpairs, built once, on the first
+solve that asks for them (``SolveOptions.deflate``, which the control solver
+sets in 2D); such a scan then starts from the right-hand side with those modes
 taken out, adds their exact part to every solution, and stops on the
 tolerance less the modes' residual bound, so the basis no longer grows to
 resolve the lowest modes for the smallest shifts.  A solve that does not ask
@@ -63,9 +63,7 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 import time
-import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -78,7 +76,7 @@ from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from . import multigrid
+from . import fem, multigrid
 
 __all__ = ["SolveStats", "solve_family"]
 
@@ -118,9 +116,8 @@ class ShiftedFamily:
     kernel, bound to A~ once per operator (``_accumulator``: row blocks
     for a DIA operator of more than ``_BLOCK_ROWS`` rows, where the one
     call sweeps vectors that no longer fit in cache, one call otherwise).
-    ``spare`` holds what every family on the operator shares: its spare
-    Lanczos basis under ``"Q"`` while no scan holds it, and, once
-    ``_deflate`` has run, its deflation space under ``"deflation"``.
+    ``spare`` holds the spare Lanczos basis that every family on the
+    operator shares, under ``"Q"`` while no scan holds it.
     """
 
     A: sp.csr_matrix
@@ -145,38 +142,26 @@ class ShiftedFamily:
         return self.shifts.shape[0]
 
     def apply_scaled(self, x: np.ndarray, out: np.ndarray | None = None):
-        """A~ x with A~ = (1/rho) M_h^{-1/2} A M_h^{-1/2}; with ``out`` the
-        product is added to ``out`` in place, with no temporary, and
-        ``out`` is returned.  A vector goes through the kernel either way
-        (without ``out``, into a zero vector: the bits of ``A_scaled @
-        x``), a block of vectors through ``A_scaled @ x``.  The kernel
-        checks no bounds, so with ``out`` both must be vectors of the
+        """A~ x for a vector ``x``, A~ = (1/rho) M_h^{-1/2} A M_h^{-1/2},
+        through the kernel: with ``out`` the product is added to ``out`` in
+        place, with no temporary, and ``out`` is returned; without, it goes
+        into a zero vector (the bits of ``A_scaled @ x``).  The kernel
+        checks no bounds, so ``x`` and ``out`` must be vectors of the
         operator's size and ``out`` a contiguous float64 one."""
         if out is None:
-            if np.shape(x) != (self.n,):
-                return self.A_scaled @ x
             out = np.zeros(self.n)
-        elif x.shape != (self.n,) or out.shape != (self.n,) \
+        if np.shape(x) != (self.n,) or out.shape != (self.n,) \
                 or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError(
-                f"out= takes x and a contiguous float64 out of shape "
-                f"({self.n},); got {x.shape} and {out.shape} {out.dtype}")
+                f"apply_scaled takes a vector x and a contiguous float64 out= "
+                f"of shape ({self.n},); got {np.shape(x)} and {out.shape} "
+                f"{out.dtype}")
         self._accumulate(x, out)
         return out
 
     def unnormalize(self, v_scaled: np.ndarray) -> np.ndarray:
         """Map V~ back to V = M_h^{-1/2} V~ (acts on the last axis)."""
         return v_scaled * self.inv_sqrt_mass
-
-
-# scaled operator per stiffness matrix object, with the lumped mass object
-# it was scaled with and the kernel bound to it; both objects are treated as
-# immutable.  The repeated solves on one mesh scale it once, a solve with
-# another mass replaces the entry, and the entry is dropped, with its spare
-# basis and deflation space, when its stiffness matrix is garbage
-# collected.  The lock makes the check and the build one step.
-_scaled_cache: dict = {}
-_scaled_lock = threading.Lock()
 
 
 def _scale_operator(A: sp.csr_matrix, lumped_mass: np.ndarray):
@@ -238,31 +223,31 @@ def _accumulator(scaled: sp.spmatrix) -> Callable:
     return accumulate
 
 
+def _scaled(A: sp.spmatrix, lumped_mass: np.ndarray):
+    """``(lumped_mass, shared)``: the fields that every ``ShiftedFamily``
+    on A with this lumped mass object shares."""
+    n = A.shape[0]
+    mass = np.asarray(lumped_mass, dtype=float)
+    if mass.shape != (n,):
+        raise ValueError(f"lumped_mass must have shape ({n},) to "
+                         f"match A, got {mass.shape}")
+    if not np.all(np.isfinite(mass) & (mass > 0)):
+        raise ValueError("lumped mass must be finite and strictly positive")
+    A = sp.csr_matrix(A)
+    scaled, rho, d = _scale_operator(A, mass)
+    return lumped_mass, dict(
+        A=A, A_scaled=scaled, lumped_mass=mass, rho=rho, inv_sqrt_mass=d,
+        _accumulate=_accumulator(scaled), spare={})
+
+
 def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
               Z: np.ndarray, labels=None) -> ShiftedFamily:
     """Scale the family to identity shifts with unit operator sup-norm, on
-    A's ``_scaled_cache`` entry (A~, its kernel and ``spare``), built on the
-    first call and rebuilt when the lumped mass object changes."""
+    A~, its kernel and ``spare`` built once per stiffness matrix object and
+    again only when the lumped mass object changes (both immutable)."""
     n = A.shape[0]
-    key = id(A)
-    with _scaled_lock:
-        entry = _scaled_cache.get(key)
-        if entry is None or entry[0] is not lumped_mass:
-            mass = np.asarray(lumped_mass, dtype=float)
-            if mass.shape != (n,):
-                raise ValueError(f"lumped_mass must have shape ({n},) to "
-                                 f"match A, got {mass.shape}")
-            if not np.all(np.isfinite(mass) & (mass > 0)):
-                raise ValueError(
-                    "lumped mass must be finite and strictly positive")
-            A_csr = sp.csr_matrix(A)
-            if entry is None:
-                weakref.finalize(A, _scaled_cache.pop, key, None)
-            scaled, rho, d = _scale_operator(A_csr, mass)
-            entry = (lumped_mass, A_csr, mass, scaled, rho, d,
-                     _accumulator(scaled), {})
-            _scaled_cache[key] = entry
-    _, A, lumped_mass, scaled, rho, d, accumulate, spare = entry
+    _, shared = fem._once(A, "scaled", partial(_scaled, A, lumped_mass),
+                          keep=lambda entry: entry[0] is lumped_mass)
     shifts = np.asarray(shifts, dtype=float)
     if np.any(np.isnan(shifts)):
         raise ValueError("shifts must not be NaN")
@@ -277,54 +262,52 @@ def normalize(A: sp.spmatrix, lumped_mass: np.ndarray, shifts: np.ndarray,
     labels = np.asarray(labels)
 
     order = np.argsort(-shifts, kind="stable")
+    rho = shared["rho"]
     return ShiftedFamily(
-        A=A, A_scaled=scaled, lumped_mass=lumped_mass, rho=rho,
         shifts=shifts[order], shifts_scaled=shifts[order] / rho,
-        labels=labels[order], rhs=Z, rhs_scaled=d * Z / rho,
-        inv_sqrt_mass=d, _accumulate=accumulate, spare=spare)
+        labels=labels[order], rhs=Z,
+        rhs_scaled=shared["inv_sqrt_mass"] * Z / rho, **shared)
 
 
 # lowest eigenpairs of A~ that a deflated scan takes out of its start vector
 _DEFLATE = 30
 
 
-def _deflate(family: ShiftedFamily) -> None:
-    """Keep the ``_DEFLATE`` lowest eigenpairs of A~ with the family's
-    operator, for every later scan on it that asks for them (see ``_head``),
-    unless it already has them or has been tried.
+def _deflate(family: ShiftedFamily):
+    """The ``_DEFLATE`` lowest eigenpairs of A~ as ``(U, lam, eps)``, built
+    once per scaled operator, for every scan on it that asks (``_head``).
 
     The rows of ``U`` are the eigenvectors, from shift-invert ARPACK at zero
     through one sparse LU of A~ that is freed afterwards; ``eps`` holds the
-    explicit residual norms ``|A~ u_i - lam_i u_i|``.  The space goes under
-    ``"deflation"`` in the operator's ``spare`` dictionary as ``(U, lam,
-    eps)``, or as None for an operator with at most ``4 * _DEFLATE`` rows
-    or an eigensolve that does not converge, so it dies with the stiffness
-    matrix or a change of mass.
+    explicit residual norms ``|A~ u_i - lam_i u_i|``.  The space is None
+    for an operator with at most ``4 * _DEFLATE`` rows or an eigensolve that
+    does not converge.
     """
-    scaled, spare = family.A_scaled, family.spare
-    if "deflation" in spare:
-        return
-    n = scaled.shape[0]
-    start = time.perf_counter()
-    space = None
-    if n <= 4 * _DEFLATE:
-        outcome = "skipped: too few dofs"
-    else:
-        lu = splu(sp.csc_matrix(scaled), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0, options={"SymmetricMode": True})
-        try:
-            lam, V = eigsh(scaled, _DEFLATE, sigma=0.0, v0=np.ones(n),
-                           OPinv=LinearOperator(scaled.shape, lu.solve,
-                                                dtype=float))
-        except ArpackNoConvergence:
-            outcome = "skipped: eigsh did not converge"
+    scaled = family.A_scaled
+
+    def build():
+        n = scaled.shape[0]
+        start = time.perf_counter()
+        space = None
+        if n <= 4 * _DEFLATE:
+            outcome = "skipped: too few dofs"
         else:
-            eps = np.linalg.norm(scaled @ V - V * lam, axis=0)
-            space = (np.ascontiguousarray(V.T), lam, eps)
-            outcome = f"kept {lam.size} modes, max eps {eps.max():.2e}"
-    spare.setdefault("deflation", space)
-    _log.debug("deflation space, n = %d: %s, %.3f s", n, outcome,
-               time.perf_counter() - start)
+            lu = splu(sp.csc_matrix(scaled), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0, options={"SymmetricMode": True})
+            try:
+                lam, V = eigsh(scaled, _DEFLATE, sigma=0.0, v0=np.ones(n),
+                               OPinv=LinearOperator(scaled.shape, lu.solve,
+                                                    dtype=float))
+            except ArpackNoConvergence:
+                outcome = "skipped: eigsh did not converge"
+            else:
+                eps = np.linalg.norm(scaled @ V - V * lam, axis=0)
+                space = (np.ascontiguousarray(V.T), lam, eps)
+                outcome = f"kept {lam.size} modes, max eps {eps.max():.2e}"
+        _log.debug("deflation space, n = %d: %s, %.3f s", n, outcome,
+                   time.perf_counter() - start)
+        return space
+    return fem._once(scaled, "deflation", build)
 
 
 # basis vectors a family solve keeps; the scan's later ones are regenerated
@@ -478,7 +461,7 @@ def _head(family: ShiftedFamily, n_max: int, tol_abs: float, W: np.ndarray,
     sig = family.shifts_scaled
     z = family.rhs_scaled
     modal = None                        # per shift: its coefficients in U
-    space = family.spare.get("deflation") if deflate else None
+    space = _deflate(family) if deflate else None
     if space is not None and space[1][0] + sig[-1] > 0.0:
         U, lam, eps = space
         c = U @ z
@@ -769,8 +752,6 @@ def solve_family(A, lumped_mass, shifts, Z, *, labels=None, rtol=1e-8,
     if not np.all(np.isfinite(W)):
         raise ValueError("weights must be finite")
     family = normalize(A, lumped_mass, shifts, Z, labels=labels)
-    if deflate:
-        _deflate(family)
     # the solvers stop on the normalized residual; dividing by the mass
     # scaling spread makes the bound hold for the un-normalized residual too
     mh = family.lumped_mass

@@ -13,8 +13,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from fraclap import (fractional, interpolate, multigrid, read_mesh, shifted,
-                     solve_all_shifted, solve_family, unit_cube_mesh,
+from fraclap import (fem, fractional, interpolate, multigrid, read_mesh,
+                     shifted, solve_all_shifted, solve_family, unit_cube_mesh,
                      unit_square_mesh, write_mesh)
 from fraclap.fem import assemble_load, operators
 from fraclap.fractional import (SolveOptions, fractional_solve,
@@ -316,6 +316,10 @@ class TestAccumulatingProduct:
                                (x, np.zeros((1, n)))):
             with pytest.raises(ValueError, match="out="):
                 family.apply_scaled(bad_x, out=bad_out)
+        # without out, a block of vectors no longer reaches the kernel
+        for bad_x in (np.ones((2, n)), np.ones((n, 1)), x[:-1]):
+            with pytest.raises(ValueError, match="vector x"):
+                family.apply_scaled(bad_x)
 
 
 def spy_kernels(patch):
@@ -350,7 +354,7 @@ class TestBlockedProduct:
     def test_blocks_give_the_unblocked_bits(self, monkeypatch, build,
                                             n_diagonals):
         monkeypatch.setattr(shifted, "_BLOCK_ROWS", BLOCK)
-        monkeypatch.setattr(shifted, "_scaled_cache", {})
+        monkeypatch.setattr(fem, "_built", {})
         mesh = build()
         ops = operators(mesh)
         dia, _ = spy_kernels(monkeypatch)
@@ -384,7 +388,7 @@ class TestBlockedProduct:
         assert len(dia) == n_blocks
 
     def test_operator_of_one_block_makes_one_call(self, monkeypatch):
-        monkeypatch.setattr(shifted, "_scaled_cache", {})
+        monkeypatch.setattr(fem, "_built", {})
         mesh = unit_cube_mesh(16)
         ops = operators(mesh)
         dia, _ = spy_kernels(monkeypatch)
@@ -397,7 +401,7 @@ class TestBlockedProduct:
 
     def test_csr_operator_keeps_its_kernel(self, monkeypatch, tmp_path):
         monkeypatch.setattr(shifted, "_BLOCK_ROWS", BLOCK)
-        monkeypatch.setattr(shifted, "_scaled_cache", {})
+        monkeypatch.setattr(fem, "_built", {})
         mesh = perturbed_square(tmp_path, 32, renumber=True)
         ops = operators(mesh)
         dia, csr = spy_kernels(monkeypatch)
@@ -422,7 +426,7 @@ class TestBlockedProduct:
             with monkeypatch.context() as patch:
                 patch.setattr(shifted, "_BLOCK_ROWS", block)
                 patch.setattr(shifted, "_STORED_MAX", 5)
-                patch.setattr(shifted, "_scaled_cache", {})
+                patch.setattr(fem, "_built", {})
                 dia, _ = spy_kernels(patch)
                 values, stats = solve_family(
                     ops.stiffness, ops.lumped_mass, quad.shifts, z,

@@ -561,11 +561,13 @@ def eigsh_calls(monkeypatch):
 
 
 def deflation_space(mesh):
-    """What the operator keeps under ``"deflation"``, or "absent"."""
+    """What ``fem._once`` keeps as the operator's deflation space, or
+    "absent"."""
     ops = operators(mesh)
     family = fraclap.shifted.normalize(ops.stiffness, ops.lumped_mass,
                                        np.ones(1), np.zeros(mesh.n_interior))
-    return family.spare.get("deflation", "absent")
+    slot = fraclap.fem._built.get((id(family.A_scaled), "deflation"))
+    return "absent" if slot is None else slot.value
 
 
 class TestDeflation:

@@ -1,7 +1,9 @@
 """Assembly, loads, the piecewise-constant projection, and norms."""
 
 import dataclasses
+import gc
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -12,6 +14,8 @@ import scipy.sparse as sp
 
 import fraclap.fem
 import fraclap.mesh
+import fraclap.multigrid
+import fraclap.shifted
 from fraclap import (CellwiseFunction, NodalFunction, assemble_load,
                      assemble_mass, assemble_stiffness, h1_seminorm,
                      interpolate, l2_inner, l2_norm, lump_mass, project_p0,
@@ -154,17 +158,21 @@ class TestAssembly:
         assert peak <= 4 * out
 
     @staticmethod
-    def run_in_threads(*meshes):
-        results, errors = [None] * len(meshes), []
+    def run_in_threads(build, *owners):
+        """``build(owner)`` for each owner, on one thread each, all started
+        together at a barrier."""
+        results, errors = [None] * len(owners), []
+        start = threading.Barrier(len(owners), timeout=20)
 
         def work(i):
             try:
-                results[i] = operators(meshes[i])
+                start.wait()
+                results[i] = build(owners[i])
             except Exception as exc:                # noqa: BLE001
                 errors.append(exc)
 
         threads = [threading.Thread(target=work, args=(i,))
-                   for i in range(len(meshes))]
+                   for i in range(len(owners))]
         for t in threads:
             t.start()
         for t in threads:
@@ -173,19 +181,25 @@ class TestAssembly:
         assert not errors, errors
         return results
 
+    @staticmethod
+    def slowed(module, name, monkeypatch):
+        """Record the arguments of every call of ``module.name``, which
+        sleeps first, so that the other caller arrives meanwhile."""
+        calls, raw = [], getattr(module, name)
+
+        def slow(*args, **kwargs):
+            calls.append(args)
+            time.sleep(0.2)
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, slow)
+        return calls
+
     def test_concurrent_callers_share_one_assembly(self, monkeypatch):
-        assemble = fraclap.fem._assemble_operators
-        calls = []
-
-        def slow(mesh):
-            calls.append(mesh)
-            time.sleep(0.2)         # the other caller arrives meanwhile
-            return assemble(mesh)
-
-        monkeypatch.setattr(fraclap.fem, "_assemble_operators", slow)
+        calls = self.slowed(fraclap.fem, "_assemble_operators", monkeypatch)
         mesh = unit_square_mesh(16)
-        first, second = self.run_in_threads(mesh, mesh)
-        assert calls == [mesh]
+        first, second = self.run_in_threads(operators, mesh, mesh)
+        assert calls == [(mesh,)]
         assert first is second
 
     def test_other_meshes_assemble_at_the_same_time(self, monkeypatch):
@@ -200,9 +214,87 @@ class TestAssembly:
 
         monkeypatch.setattr(fraclap.fem, "_assemble_operators", meeting)
         meshes = (unit_square_mesh(16), unit_square_mesh(16))
-        ops = self.run_in_threads(*meshes)
+        ops = self.run_in_threads(operators, *meshes)
         assert ops[0] is not ops[1]
         assert all(operators(mesh) is o for mesh, o in zip(meshes, ops))
+
+    def test_concurrent_callers_share_one_hierarchy(self, monkeypatch):
+        calls = self.slowed(fraclap.multigrid, "prolongation_matrix",
+                            monkeypatch)
+        mesh = unit_square_mesh(64)
+        first, second = self.run_in_threads(
+            fraclap.multigrid.MeshHierarchy.for_mesh, mesh, mesh)
+        assert first is second
+        assert len(calls) == first.n_levels - 1     # one construction
+
+    def test_concurrent_deflated_solves_share_one_space(self, monkeypatch):
+        calls = self.slowed(fraclap.shifted, "splu", monkeypatch)
+        mesh = unit_square_mesh(32)
+        ops = operators(mesh)
+        z = assemble_load(mesh, sin_eigenfunction)
+
+        def solve(A):
+            return fraclap.shifted.solve_family(
+                A, ops.lumped_mass, np.array([2.0, 0.5]), z, deflate=True)
+
+        (first, _), (second, _) = self.run_in_threads(
+            solve, ops.stiffness, ops.stiffness)
+        assert len(calls) == 1                      # one LU, one eigsh
+        np.testing.assert_array_equal(first, second)
+
+    def test_other_stiffness_matrices_scale_at_the_same_time(
+            self, monkeypatch):
+        # as for the assembly: serialized, the scalings would break it
+        scale = fraclap.shifted._scale_operator
+        barrier = threading.Barrier(2, timeout=20)
+
+        def meeting(A, mass):
+            barrier.wait()
+            return scale(A, mass)
+
+        monkeypatch.setattr(fraclap.shifted, "_scale_operator", meeting)
+        meshes = (unit_square_mesh(16), unit_square_mesh(8))
+
+        def scaled(mesh):
+            ops = operators(mesh)
+            return fraclap.shifted.normalize(
+                ops.stiffness, ops.lumped_mass, np.ones(1),
+                np.ones(mesh.n_interior)).A_scaled
+
+        first, second = self.run_in_threads(scaled, *meshes)
+        assert first.shape != second.shape
+
+
+    def test_many_threads_build_each_value_once(self):
+        # more threads than cores, switching often: a check and build that
+        # were two steps would run a build twice or hand out two values
+        owners = [type("Owner", (), {})() for _ in range(16)]
+        builds = []
+
+        def build_all(order):
+            def value_of(owner):
+                def build():
+                    builds.append(owner)
+                    time.sleep(1e-3)
+                    return object()
+                return fraclap.fem._once(owner, "stress", build)
+            return {id(owners[i]): value_of(owners[i]) for i in order}
+
+        orders = [np.random.default_rng(i).permutation(len(owners))
+                  for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            first, *others = self.run_in_threads(build_all, *orders)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(map(id, builds)) == sorted(map(id, owners))
+        assert all(other[key] is value for other in others
+                   for key, value in first.items())
+        # the values die with their owners
+        del owners, builds, first, others
+        gc.collect()
+        assert all(kind != "stress" for _, kind in fraclap.fem._built)
 
 
 class TestMass:

@@ -10,7 +10,7 @@ from fraclap import (NodalFunction, interpolate, l2_norm, quadrature_for_mesh,
                      read_mesh, sinc_quadrature, solve_all_shifted,
                      spectral_oracle_solve, unit_cube_mesh, unit_square_mesh,
                      write_mesh)
-from fraclap import multigrid, shifted
+from fraclap import fem, shifted
 from fraclap.fem import operators
 from fraclap.fractional import SolveOptions, fractional_solve
 
@@ -188,10 +188,10 @@ class TestFractionalSolve:
         z = interpolate(mesh, eigen_rhs)
         res = fractional_solve(mesh, 0.5, z)
         assert res.stats.n_prec_setups == 0
-        assert mesh not in multigrid._hierarchy_cache
+        assert (id(mesh), "hierarchy") not in fem._built
         res = fractional_solve(mesh, 0.5, z, SolveOptions(n_max=20))
         assert res.stats.n_prec_setups > 0
-        assert mesh in multigrid._hierarchy_cache
+        assert (id(mesh), "hierarchy") in fem._built
 
     def test_3d_smoke(self):
         mesh = unit_cube_mesh(4)

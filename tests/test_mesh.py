@@ -250,6 +250,14 @@ class TestMeshIO:
         assert mesh.n_cells == 2
         assert mesh.volumes.sum() == pytest.approx(1.0)
 
+    def test_h_is_the_longest_edge_of_any_cell(self, tmp_path):
+        # four triangles around the centre, which each lists first: the
+        # longest edges are the square's sides, which miss the centre
+        path = tmp_path / "fan.txt"
+        path.write_text("2 5 4\n0.5 0.5\n0 0\n1 0\n1 1\n0 1\n"
+                        "0 1 2\n0 2 3\n0 3 4\n0 4 1\n")
+        assert read_mesh(path).h == 1.0
+
     def test_degenerate_cell_rejected(self, tmp_path):
         # cell 2 has collinear vertices: reported by index, not as NaN
         # matrices later on

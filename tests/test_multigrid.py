@@ -1,11 +1,14 @@
 """Hierarchy construction and the preconditioners as SPD operators."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fraclap import unit_cube_mesh, unit_square_mesh
+from fraclap import fem, unit_cube_mesh, unit_square_mesh
 from fraclap.multigrid import (GeometricMultigrid, MeshHierarchy,
                                SymmetricGaussSeidel)
 from fraclap.fem import operators
@@ -14,14 +17,22 @@ from fraclap.fem import operators
 class TestMeshHierarchy:
     def test_levels_reach_the_coarse_cap(self):
         hier = MeshHierarchy.for_mesh(unit_square_mesh(128))
-        sizes = [m.cells_per_side for m in hier.meshes]
+        sizes = hier.sizes
         assert sizes[-1] == 128
         assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
-        assert hier.meshes[0].n_interior <= MeshHierarchy.COARSE_DOFS
+        assert hier.stiffness[0].shape[0] <= MeshHierarchy.COARSE_DOFS
 
     def test_cached_per_mesh(self):
         mesh = unit_square_mesh(16)
         assert MeshHierarchy.for_mesh(mesh) is MeshHierarchy.for_mesh(mesh)
+
+    def test_dies_with_its_mesh(self):
+        mesh = unit_square_mesh(64)
+        hier = weakref.ref(MeshHierarchy.for_mesh(mesh))
+        key = (id(mesh), "hierarchy")
+        del mesh
+        gc.collect()
+        assert hier() is None and key not in fem._built
 
     def test_requires_structured_mesh(self):
         mesh = unit_square_mesh(8)

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import fraclap.fractional
-from fraclap import (fractional_solve, read_mesh, shifted, solve_family,
+from fraclap import (fem, fractional_solve, read_mesh, shifted, solve_family,
                      unit_square_mesh, write_mesh)
 from fraclap.fem import assemble_load, lump_mass, operators
 from fraclap.fractional import (SolveOptions, quadrature_for_mesh,
@@ -35,6 +35,11 @@ def plain_cg(A_apply, b, rtol, maxiter=10000):
         p = r + (rr_new / rr) * p
         rr = rr_new
     return x
+
+
+def scaled_entries():
+    """The ids of the stiffness matrices that keep a scaled operator."""
+    return {owner for owner, kind in fem._built if kind == "scaled"}
 
 
 def combination(fam, weights):
@@ -159,13 +164,13 @@ class TestNormalize:
         ops = operators(mesh)
         shifts = np.array([2.0, 0.5])
         gc.collect()        # earlier tests' matrices drop their entries
-        before = len(shifted._scaled_cache)
+        before = len(scaled_entries())
         for _ in range(5):
             # a new lumped-mass array on every call
             solve_family(ops.stiffness, lump_mass(ops.mass), shifts,
                          np.ones(mesh.n_interior))
-        assert len(shifted._scaled_cache) <= before + 1
-        assert id(ops.stiffness) in shifted._scaled_cache
+        assert len(scaled_entries()) <= before + 1
+        assert id(ops.stiffness) in scaled_entries()
 
     def test_another_mass_gives_the_bits_of_a_fresh_operator(self):
         mesh = unit_square_mesh(8)
@@ -854,12 +859,14 @@ class TestDeflatedHead:
         quad = quadrature_for_mesh(s, mesh.h)
         Z = deflation_rhs(mesh) if Z is None else Z
         fam = normalize(A, ops.lumped_mass, quad.shifts, Z, labels=quad.l)
-        assert (fam.spare.get("deflation") is not None) == deflated
+        slot = fem._built.get((id(fam.A_scaled), "deflation"))
+        assert (slot is not None and slot.value is not None) == deflated
         return fam, quad.weights[::-1]      # family order: decreasing shift
 
-    def _head(self, fam, n_max=shifted._SCAN_MAX, weights=None):
+    def _head(self, fam, n_max=shifted._SCAN_MAX, weights=None,
+              deflate=True):
         tol_abs = self.RTOL * np.linalg.norm(fam.rhs_scaled)
-        return run_head(fam, n_max, tol_abs, weights, deflate=True)
+        return run_head(fam, n_max, tol_abs, weights, deflate)
 
     def _assert_rows_meet_rtol(self, fam, rows):
         b = fam.rhs_scaled
@@ -876,7 +883,7 @@ class TestDeflatedHead:
         self._assert_rows_meet_rtol(fam, rows)
         # the lowest modes no longer set the basis size
         plain, _ = self._family(deflation_meshes[name], s, deflated=False)
-        assert n_basis < self._head(plain)[1]
+        assert n_basis < self._head(plain, deflate=False)[1]
 
     @pytest.mark.parametrize("s", S_VALUES)
     @pytest.mark.parametrize("name", MESHES)
@@ -884,7 +891,7 @@ class TestDeflatedHead:
         fam, w = self._family(deflation_meshes[name], s)
         plain, _ = self._family(deflation_meshes[name], s, deflated=False)
         u = self._head(fam, weights=w)[3]
-        want = self._head(plain, weights=w)[3]
+        want = self._head(plain, weights=w, deflate=False)[3]
         assert np.linalg.norm(u - want) <= 1e-9 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("s", S_VALUES)
@@ -929,20 +936,20 @@ class TestDeflatedHead:
 
     @pytest.mark.parametrize("s", S_VALUES)
     @pytest.mark.parametrize("name", MESHES)
-    def test_stopping_test_pays_for_inexact_modes(self, deflation_meshes,
-                                                  name, s):
+    def test_stopping_test_pays_for_inexact_modes(self, monkeypatch,
+                                                  deflation_meshes, name, s):
         # modes perturbed until their residual bound takes 45% of the
         # tolerance: a scan that stopped on the full tolerance would leave
         # the smallest shifts' true residuals above it
         fam, _ = self._family(deflation_meshes[name], s)
-        U = fam.spare["deflation"][0]
+        U = shifted._deflate(fam)[0]
         b = fam.rhs_scaled
         tol_abs = self.RTOL * np.linalg.norm(b)
         noise = np.random.default_rng(5).standard_normal(U.shape)
 
         def space(delta):
             V = np.linalg.qr((U + delta * noise).T)[0].T
-            AV = fam.apply_scaled(V.T)
+            AV = fam.A_scaled @ V.T
             lam = np.einsum("ij,ji->i", V, AV)
             eps = np.linalg.norm(AV - V.T * lam, axis=0)
             bound = eps @ (np.abs(V @ b) / (lam + fam.shifts_scaled[-1]))
@@ -951,7 +958,7 @@ class TestDeflatedHead:
         _, bound = space(1e-6)
         inexact, bound = space(1e-6 * 0.45 * tol_abs / bound)
         assert 0.4 * tol_abs < bound <= 0.5 * tol_abs
-        fam = dataclasses.replace(fam, spare={"deflation": inexact})
+        monkeypatch.setattr(shifted, "_deflate", lambda family: inexact)
         n_solved, _, _, rows, _ = self._head(fam)
         assert n_solved == fam.n_shifts
         self._assert_rows_meet_rtol(fam, rows)
@@ -981,7 +988,7 @@ class TestDeflatedHead:
         mesh = deflation_meshes["square32"]
         ops = operators(mesh)
         fam, _ = self._family(mesh, 0.5)
-        U, lam, _ = fam.spare["deflation"]
+        U, lam, _ = shifted._deflate(fam)
         coef = np.arange(1.0, len(modes) + 1)
         # Z with scaled rhs d Z / rho = coef @ U[modes]
         Z = fam.rho * (coef @ U[modes]) / fam.inv_sqrt_mass
@@ -1000,7 +1007,7 @@ class TestDeflatedHead:
         mesh = deflation_meshes["square32"]
         ops = operators(mesh)
         fam, _ = self._family(mesh, 0.5)
-        lam_1 = fam.spare["deflation"][1][0]
+        lam_1 = shifted._deflate(fam)[1][0]
         shifts = np.array([1.0, -2.0 * lam_1 * fam.rho])
         with pytest.raises(RuntimeError, match="breakdown"):
             solve_family(ops.stiffness, ops.lumped_mass, shifts,
